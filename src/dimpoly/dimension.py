@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .coefficients import _add, _eval, _mul, _poly_str
 from .freemodule import Element, TermOrder
 
 __all__ = [
@@ -88,35 +89,20 @@ class PolyQ:
         return hash(self.coeffs)
 
     def __add__(self, other: "PolyQ") -> "PolyQ":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return PolyQ(out)
+        return PolyQ(_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "PolyQ") -> "PolyQ":
         return self + other.scaled(-1)
 
     def __mul__(self, other: "PolyQ") -> "PolyQ":
-        if not self.coeffs or not other.coeffs:
-            return PolyQ()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return PolyQ(out)
+        return PolyQ(_mul(self.coeffs, other.coeffs))
 
     def scaled(self, c) -> "PolyQ":
         c = Fraction(c)
         return PolyQ(x * c for x in self.coeffs)
 
     def __call__(self, r) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * r + c
-        return acc
+        return _eval(self.coeffs, r)
 
     def __str__(self):
         return poly_str(self)
@@ -127,25 +113,7 @@ class PolyQ:
 
 def poly_str(p: PolyQ, var: str = "t") -> str:
     """Descending-power rendering with exact rational coefficients."""
-    if not p:
-        return "0"
-    parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coefficient(k)
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        else:
-            v = var if k == 1 else f"{var}^{k}"
-            body = v if mag == 1 else f"{mag}*{v}"
-        parts.append((sign, body))
-    text = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-    for sign, body in parts[1:]:
-        text += sign + body
-    return text
+    return _poly_str(p.coeffs, var)
 
 
 def parse_poly(text: str, var: str = "t") -> PolyQ:

@@ -1,10 +1,19 @@
 """Reduction, S-polynomials, and Buchberger completion in free modules over
 commutative operator rings.
 
-The reduction loop rewrites only the leading term; full tail reduction happens
-in :func:`autoreduce`, which also makes every element monic and sorts the
-basis into a deterministic canonical form.  Pair selection is a normal
-strategy: a queue keyed by (lcm total degree, insertion index).
+Every rewrite goes through one reducer, :func:`_reduce`.  It works over
+:class:`_Tracked` entries, which cache each basis element's leading term and
+coefficient, and it always takes the first divisor in list order; the
+published reduction chains of the worked examples depend on that rule.  In
+head mode (:func:`reduce_element`, the completion loop, the Groebner test) it
+stops at the first irreducible leading term.  In full mode
+(:func:`normal_form`, :func:`autoreduce`) it sets that term aside and keeps
+reducing the tail.  When given a cofactor vector it updates it with every
+step, so each completed element can be expressed over the input list.
+
+:func:`autoreduce` also makes every element monic and sorts the basis into a
+deterministic canonical form.  Pair selection is a normal strategy: a queue
+keyed by (lcm total degree, insertion index).
 """
 
 from __future__ import annotations
@@ -36,61 +45,20 @@ OpPoly = dict[tuple, Coeff]
 
 def s_polynomial(g1: Element, g2: Element, order: TermOrder) -> Element:
     """S-polynomial of g1 and g2; zero when the leading generators differ."""
-    t1, c1 = g1.leading_term(order)
-    t2, c2 = g2.leading_term(order)
-    if t1.gen != t2.gen:
-        return Element()
-    lcm = tuple(max(a, b) for a, b in zip(t1.exps, t2.exps))
-    u1 = tuple(l - a for l, a in zip(lcm, t1.exps))
-    u2 = tuple(l - b for l, b in zip(lcm, t2.exps))
-    return apply_monomial(u1, g1).scaled(inverse(c1)) - apply_monomial(u2, g2).scaled(
-        inverse(c2)
-    )
+    return _s_poly(_Tracked(g1, order), _Tracked(g2, order))[0]
 
 
-def reduce_element(
-    f: Element,
-    basis: Sequence[Element],
-    order: TermOrder,
-    chain: list[int] | None = None,
-) -> Element:
+def reduce_element(f: Element, basis: Sequence[Element], order: TermOrder) -> Element:
     """Rewrite the leading term of f modulo ``basis`` until irreducible.
 
-    Divisors are tried in list order (first match).  When ``chain`` is given,
-    the index of each divisor used is appended to it.
+    Divisors are tried in list order (first match).
     """
-    cached = [(g,) + g.leading_term(order) for g in basis if g]
-    r = f
-    while r:
-        t, c = r.leading_term(order)
-        for i, (g, tg, cg) in enumerate(cached):
-            if divides(tg, t):
-                lam = quotient(t, tg)
-                r = r - apply_monomial(lam, g).scaled(c * inverse(cg))
-                if chain is not None:
-                    chain.append(i)
-                break
-        else:
-            break
-    return r
+    return _reduce(f, None, _track(basis, order), order, full=False)[0]
 
 
 def normal_form(f: Element, basis: Sequence[Element], order: TermOrder) -> Element:
     """Fully reduce every term of f modulo ``basis`` (tail reduction included)."""
-    cached = [(g,) + g.leading_term(order) for g in basis if g]
-    done: dict[Term, Coeff] = {}
-    work = f
-    while work:
-        t, c = work.leading_term(order)
-        for g, tg, cg in cached:
-            if divides(tg, t):
-                lam = quotient(t, tg)
-                work = work - apply_monomial(lam, g).scaled(c * inverse(cg))
-                break
-        else:
-            done[t] = c
-            work = work - Element({t: c})
-    return Element(done)
+    return _reduce(f, None, _track(basis, order), order, full=True)[0]
 
 
 @dataclass(frozen=True)
@@ -173,47 +141,63 @@ class _Tracked:
         self.cof = cof
 
 
-def _s_poly_tracked(a: _Tracked, b: _Tracked, order: TermOrder, track: bool):
+def _track(basis: Sequence[Element], order: TermOrder) -> list[_Tracked]:
+    return [_Tracked(g, order) for g in basis if g]
+
+
+def _s_poly(a: _Tracked, b: _Tracked):
+    """S-polynomial of two entries and, when tracked, its cofactor vector."""
+    if a.lt.gen != b.lt.gen:
+        return Element(), None
     lcm = tuple(max(x, y) for x, y in zip(a.lt.exps, b.lt.exps))
     u1 = tuple(l - x for l, x in zip(lcm, a.lt.exps))
     u2 = tuple(l - x for l, x in zip(lcm, b.lt.exps))
     inv1, inv2 = inverse(a.lc), inverse(b.lc)
     s = apply_monomial(u1, a.elem).scaled(inv1) - apply_monomial(u2, b.elem).scaled(inv2)
     cof = None
-    if track:
+    if a.cof is not None:
         cof = _cof_sub(_cof_shift_scale(a.cof, u1, inv1), _cof_shift_scale(b.cof, u2, inv2))
     return s, cof
 
 
-def _reduce_tracked(elem, cof, basis: list[_Tracked], order, track, chain=None):
+def _reduce(f: Element, cof, basis: list[_Tracked], order: TermOrder, full: bool, chain=None):
+    """The one reduction loop: rewrite f modulo ``basis``.
+
+    The first entry in list order whose leading term divides the current
+    leading term is used.  Head mode stops at the first irreducible leading
+    term; full mode moves it to the remainder and continues with the tail.
+    ``cof`` (when not None) is updated alongside, and ``chain`` (when given)
+    receives the index of each divisor used.  Returns (remainder, cof, steps).
+    """
+    done: dict[Term, Coeff] = {}
     steps = 0
-    r = elem
+    r = f
     while r:
         t, c = r.leading_term(order)
-        hit = None
         for i, g in enumerate(basis):
             if divides(g.lt, t):
-                hit = (i, g)
                 break
-        if hit is None:
-            break
-        i, g = hit
+        else:
+            if not full:
+                break
+            done[t] = c
+            r = r - Element({t: c})
+            continue
         lam = quotient(t, g.lt)
         factor = c * inverse(g.lc)
         r = r - apply_monomial(lam, g.elem).scaled(factor)
-        if track:
+        if cof is not None:
             cof = _cof_sub(cof, _cof_shift_scale(g.cof, lam, factor))
         if chain is not None:
             chain.append(i)
         steps += 1
-    return r, cof, steps
+    return (Element(done) if full else r), cof, steps
 
 
 def buchberger(
     generators: Iterable[Element],
     order: TermOrder,
     *,
-    use_coprime_criterion: bool = False,
     track_cofactors: bool = False,
     trace: Callable[[str], None] | None = None,
     render: Callable[[Element], str] | None = None,
@@ -249,20 +233,13 @@ def buchberger(
     while heap:
         _, _, i, j = heapq.heappop(heap)
         pairs_processed += 1
-        a, b = basis[i], basis[j]
-        if use_coprime_criterion and all(
-            min(x, y) == 0 for x, y in zip(a.lt.exps, b.lt.exps)
-        ):
-            if trace:
-                trace(f"pair ({i + 1},{j + 1}): skipped, coprime leading monomials")
-            continue
-        s, cof = _s_poly_tracked(a, b, order, track_cofactors)
+        s, cof = _s_poly(basis[i], basis[j])
         if not s:
             if trace:
                 trace(f"pair ({i + 1},{j + 1}): S = 0")
             continue
-        chain: list[int] = []
-        r, cof, steps = _reduce_tracked(s, cof, basis, order, track_cofactors, chain)
+        chain: list[int] | None = [] if trace else None
+        r, cof, steps = _reduce(s, cof, basis, order, full=False, chain=chain)
         reduction_steps += steps
         if trace:
             via = ", ".join(f"g{k + 1}" for k in chain) or "-"
@@ -273,7 +250,7 @@ def buchberger(
             push_pairs(len(basis) - 1)
 
     completed_size = len(basis)
-    elements, cofactors = _autoreduce_tracked(basis, order, track_cofactors)
+    elements, cofactors = _autoreduce_tracked(basis, order)
     return GroebnerBasis(
         elements=tuple(elements),
         order=order,
@@ -284,7 +261,7 @@ def buchberger(
     )
 
 
-def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder, track: bool):
+def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder):
     # Minimality: drop elements whose leading term is divisible by another's.
     # Ascending scan guarantees divisors are kept before their multiples.
     kept: list[_Tracked] = []
@@ -295,32 +272,13 @@ def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder, track: bool):
     reduced: list[tuple[Element, tuple[OpPoly, ...] | None, Term]] = []
     for idx, g in enumerate(kept):
         others = kept[:idx] + kept[idx + 1 :]
-        elem, cof = g.elem, g.cof
-        # Tail reduction: the head is irreducible modulo the others, so the
-        # loop below only rewrites lower terms.
-        done: dict[Term, Coeff] = {}
-        work = elem
-        while work:
-            t, c = work.leading_term(order)
-            hit = None
-            for h in others:
-                if divides(h.lt, t):
-                    hit = h
-                    break
-            if hit is None:
-                done[t] = c
-                work = work - Element({t: c})
-                continue
-            lam = quotient(t, hit.lt)
-            factor = c * inverse(hit.lc)
-            work = work - apply_monomial(lam, hit.elem).scaled(factor)
-            if track:
-                cof = _cof_sub(cof, _cof_shift_scale(hit.cof, lam, factor))
-        elem = Element(done)
+        # Tail reduction: the head is irreducible modulo the others, so full
+        # mode only rewrites lower terms.
+        elem, cof, _ = _reduce(g.elem, g.cof, others, order, full=True)
         lt, lc = elem.leading_term(order)
         inv = inverse(lc)
         elem = elem.scaled(inv)
-        if track:
+        if cof is not None:
             cof = _cof_scale(cof, inv)
         reduced.append((elem, cof, lt))
 
@@ -332,17 +290,15 @@ def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder, track: bool):
 
 def autoreduce(basis: Sequence[Element], order: TermOrder) -> list[Element]:
     """Minimal monic form of a Groebner basis, deterministically sorted."""
-    tracked = [_Tracked(g, order) for g in basis if g]
-    elements, _ = _autoreduce_tracked(tracked, order, track=False)
-    return elements
+    return _autoreduce_tracked(_track(basis, order), order)[0]
 
 
 def is_groebner_basis(basis: Sequence[Element], order: TermOrder) -> bool:
     """Buchberger criterion: every pairwise S-polynomial reduces to zero."""
-    elems = [g for g in basis if g]
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            s = s_polynomial(elems[i], elems[j], order)
-            if s and reduce_element(s, elems, order):
+    tracked = _track(basis, order)
+    for i, a in enumerate(tracked):
+        for b in tracked[i + 1 :]:
+            s, _ = _s_poly(a, b)
+            if s and _reduce(s, None, tracked, order, full=False)[0]:
                 return False
     return True

@@ -4,8 +4,16 @@ several suites."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from dimpoly import Element, TermOrder, parameter_symbol
+
+# Property tests draw a fixed, small sample so the suite stays deterministic
+# and inside its time budget.
+settings.register_profile(
+    "dimpoly", derandomize=True, deadline=None, max_examples=40, database=None
+)
+settings.load_profile("dimpoly")
 
 A = parameter_symbol("a")
 

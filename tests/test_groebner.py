@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dimpoly import (
     Element,
@@ -31,6 +32,7 @@ from conftest import (
     G4,
     S_G1_G2,
     SIGMA_ORDER,
+    el,
     el0,
 )
 
@@ -140,10 +142,16 @@ class TestBuchberger:
         assert set(again.leading_terms()) == set(gb.leading_terms())
         assert again.elements == gb.elements
 
-    def test_coprime_criterion_same_basis(self):
-        plain = buchberger(FORWARD_INPUTS, SIGMA_ORDER)
-        fast = buchberger(FORWARD_INPUTS, SIGMA_ORDER, use_coprime_criterion=True)
-        assert plain.elements == fast.elements
+    def test_rank_two_coprime_heads_still_pair(self):
+        # x*e1 + e2 and y*e1 have coprime leading monomials, yet their
+        # S-polynomial y*e2 is a new irreducible element: the coprime
+        # criterion does not hold in modules of rank > 1
+        g1 = el((1, (1, 0), 0), (1, (0, 0), 1))
+        g2 = el((1, (0, 1), 0))
+        gb = buchberger([g1, g2], DIFF_ORDER)
+        assert len(gb) == 3
+        assert Term(1, (0, 1)) in gb.leading_terms()
+        assert not is_groebner_basis([g1, g2], DIFF_ORDER)
 
     def test_cofactors_expand_exactly(self):
         inputs = list(FORWARD_INPUTS)
@@ -378,17 +386,6 @@ class TestLinearAlgebraOracle:
             checked += 1
         assert checked >= 25
 
-    def test_criterion_flag_agrees_on_random_systems(self):
-        rng = random.Random(43)
-        order = TermOrder((0, 1))
-        for _ in range(20):
-            inputs = random_system(rng)
-            if not inputs:
-                continue
-            a = buchberger(inputs, order)
-            b = buchberger(inputs, order, use_coprime_criterion=True)
-            assert a.elements == b.elements
-
     def test_random_cofactors_expand(self):
         rng = random.Random(44)
         order = TermOrder((0, 1))
@@ -402,3 +399,31 @@ class TestLinearAlgebraOracle:
                 for op_poly, f in zip(cof, inputs):
                     acc = acc + apply_operator_poly(op_poly, f)
                 assert acc == g
+
+
+# -- property tests over rank-2 modules ----------------------------------------
+
+_terms = st.tuples(
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.integers(0, 1),
+)
+_elements = st.lists(_terms, min_size=1, max_size=3).map(Element.from_pairs)
+_systems = st.lists(_elements.filter(bool), min_size=1, max_size=3)
+
+
+@given(inputs=_systems, f=_elements)
+def test_rank_two_completion_properties(inputs, f):
+    gb = buchberger(inputs, DIFF_ORDER, track_cofactors=True)
+    elements = list(gb.elements)
+    assert is_groebner_basis(elements, DIFF_ORDER)
+    assert all(not normal_form(g, elements, DIFF_ORDER) for g in inputs)
+    lts = gb.leading_terms()
+    for t in normal_form(f, elements, DIFF_ORDER).terms:
+        assert not any(divides(lt, t) for lt in lts)
+    assert autoreduce(elements, DIFF_ORDER) == elements
+    for g, cof in zip(elements, gb.cofactors):
+        acc = Element()
+        for op_poly, h in zip(cof, inputs):
+            acc = acc + apply_operator_poly(op_poly, h)
+        assert acc == g
