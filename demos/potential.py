@@ -3,7 +3,7 @@
 This system's published forward-scheme polynomial contains a typesetting
 error (two quadratic terms).  The demo recomputes it and shows how the
 exhaustive counting oracle plus exact interpolation pins down the true
-cubic, independently of the symbolic inclusion-exclusion route.
+cubic, independently of the Hilbert-numerator route.
 """
 
 from dimpoly import (

@@ -25,9 +25,9 @@ from .coefficients import (
 )
 from .dimension import (
     DimPolyReport,
+    OracleBudgetExceeded,
     PolyQ,
     Staircase,
-    StaircaseTooLarge,
     ValidationRecord,
     binomial_poly,
     compare_strength,

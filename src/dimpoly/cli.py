@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 input or usage error, 2 mathematical validation
-mismatch (the computed polynomial disagreed with the counting oracle).
+mismatch (the computed polynomial disagreed with the counting oracle), 3 the
+counting oracle would exceed its size limit (MAX_ORACLE_ROWS enumerated terms).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .builtin_systems import BUILTIN_NAMES, builtin_scheme, builtin_system
-from .dimension import free_term_count_oracle
+from .dimension import OracleBudgetExceeded, free_term_counts
 from .dsl import DslError, parse_system
 from .pipeline import (
     compare_reports,
@@ -142,7 +143,7 @@ def _cmd_oracle_check(args) -> int:
         scheme_name=scheme_name,
         order_names=_parse_order(args, presentation),
     )
-    count = free_term_count_oracle(doc.staircase, args.r)
+    count = free_term_counts(doc.staircase, args.r)[args.r]
     value = doc.dim.polynomial(args.r)
     r0 = doc.dim.validity_threshold
     print(f"oracle count at r={args.r}: {count}")
@@ -169,6 +170,9 @@ def main(argv=None) -> int:
             for name in BUILTIN_NAMES:
                 print(name)
             return 0
+    except OracleBudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (DslError, ValueError, KeyError, OSError) as exc:
         if isinstance(exc, OSError):
             message = str(exc)

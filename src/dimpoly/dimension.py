@@ -1,17 +1,18 @@
 """Dimension polynomials from leading-term staircases.
 
 Given the per-generator antichain of leading-term exponent vectors of an
-autoreduced Groebner basis, the number of free terms of order <= r is an
-inclusion-exclusion over subsets of each antichain; expanding every binomial
-C(r+n-f, n) symbolically gives the exact dimension polynomial, valid for all
-r beyond a computable threshold.  A brute-force lattice enumeration serves as
-the independent counting oracle, and interpolation through oracle values
+autoreduced Groebner basis, each antichain spans a monomial ideal whose
+Hilbert series has an integer numerator K(t), computed by Bigatti's pivot
+recursion.  Writing the summed numerators as sum_j k_j t^j, the number of free
+terms of order <= r is sum_j k_j C(r - j + n, n): expanding the binomials
+gives the exact dimension polynomial, valid from the sharp threshold
+max(deg K - n, 0).  A brute-force lattice enumeration serves as the
+independent counting oracle, and interpolation through oracle values
 cross-checks every computed polynomial coefficient-exactly.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,14 +21,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .coefficients import _add, _eval, _mul, _poly_str
+from .coefficients import _add, _eval, _mul, _neg, _poly_str
 from .freemodule import Element, TermOrder
 
 __all__ = [
     "DimPolyReport",
+    "MAX_ORACLE_ROWS",
+    "OracleBudgetExceeded",
     "PolyQ",
     "Staircase",
-    "StaircaseTooLarge",
     "ValidationRecord",
     "binomial_poly",
     "binomial_str",
@@ -45,11 +47,11 @@ __all__ = [
     "validate_polynomial",
 ]
 
-MAX_STAIRCASE_VECTORS = 25
+MAX_ORACLE_ROWS = 10_000_000
 
 
-class StaircaseTooLarge(ValueError):
-    """Subset enumeration guard: too many staircase vectors for one generator."""
+class OracleBudgetExceeded(ValueError):
+    """The counting oracle would enumerate more than MAX_ORACLE_ROWS terms."""
 
 
 class PolyQ:
@@ -209,11 +211,14 @@ def staircase_from_basis(
 def dimension_polynomial(
     stair: Staircase, *, kind: str = "difference", m: int | None = None
 ) -> "DimPolyReport":
-    """Exact inclusion-exclusion count of free terms, as a polynomial report.
+    """Exact count of free terms, as a polynomial report.
 
-    Every subset of a generator's antichain contributes a signed binomial
-    C(r + n - f, n) where f sums the componentwise maxima of the subset; the
-    threshold beyond which the polynomial counts exactly is the largest f.
+    The Hilbert numerators K_g(t) of the generators' monomial ideals sum to
+    K(t) = sum_j k_j t^j, and the free terms of order <= r number
+    sum_j k_j C(r - j + n, n).  Each binomial is a polynomial in r that is
+    exact for r >= j - n, so the polynomial holds from the validity threshold
+    max(deg K - n, 0).  The threshold is sharp: when it is positive, the
+    polynomial is off by (-1)^n k_deg(K) at the order just below it.
     """
     n = stair.n
     if kind == "inversive":
@@ -223,25 +228,48 @@ def dimension_polynomial(
     else:
         m = n if m is None else m
 
-    total = PolyQ()
-    r0 = 0
+    numerator: tuple[int, ...] = ()
     for vectors in stair.per_generator:
-        if len(vectors) > MAX_STAIRCASE_VECTORS:
-            raise StaircaseTooLarge(
-                f"{len(vectors)} staircase vectors for one generator exceeds "
-                f"the limit of {MAX_STAIRCASE_VECTORS}"
-            )
-        if vectors:
-            r0 = max(r0, sum(max(v[k] for v in vectors) for k in range(n)))
-        for size in range(len(vectors) + 1):
-            for subset in itertools.combinations(vectors, size):
-                if subset:
-                    f = sum(max(v[k] for v in subset) for k in range(n))
-                else:
-                    f = 0
-                term = binomial_poly(n, f)
-                total = total + (term if size % 2 == 0 else term.scaled(-1))
+        numerator = _add(numerator, _hilbert_numerator(vectors))
+    total = PolyQ()
+    for j, k in enumerate(numerator):
+        if k:
+            total = total + binomial_poly(n, j).scaled(k)
+    r0 = max(len(numerator) - 1 - n, 0)
     return _build_report(total, stair, kind, m, r0)
+
+
+def _hilbert_numerator(antichain: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """Numerator K(t) of the Hilbert series K(t)/(1-t)^n of k[x]/I, where I
+    is spanned by the monomials x^v of ``antichain``; ascending integer
+    coefficients, () for the unit ideal.
+
+    Bigatti's pivot recursion N(I) = N(I + (p)) + t^deg(p) N(I : p), with
+    p = x_i^e for the variable x_i found in most generators of more than one
+    variable and e the median of its exponents there.  Every pure power of
+    x_i in a minimal I is above that median, so both I + (p) and I : p are
+    strictly larger than I and the recursion ends.
+    """
+    if not antichain:
+        return (1,)
+    if not all(any(v) for v in antichain):
+        return ()
+    n = len(antichain[0])
+    if all(sum(1 for v in antichain if v[i]) <= 1 for i in range(n)):
+        out: tuple[int, ...] = (1,)
+        for v in antichain:  # pairwise coprime: product of (1 - t^deg v)
+            out = _add(out, (0,) * sum(v) + _neg(out))
+        return out
+    mixed = [v for v in antichain if sum(1 for a in v if a) > 1]
+    i = max(range(n), key=lambda k: sum(1 for v in mixed if v[k]))
+    exps = sorted(v[i] for v in mixed if v[i])
+    e = exps[len(exps) // 2]
+    pivot = tuple(e if k == i else 0 for k in range(n))
+    plus = [v for v in antichain if v[i] < e] + [pivot]
+    colon = _minimal_antichain(
+        [v[:i] + (max(v[i] - e, 0),) + v[i + 1 :] for v in antichain]
+    )
+    return _add(_hilbert_numerator(plus), (0,) * e + _hilbert_numerator(colon))
 
 
 @dataclass(frozen=True)
@@ -407,9 +435,19 @@ def _grid_up_to(n: int, r: int) -> np.ndarray:
 
 
 def free_term_counts(stair: Staircase, r_max: int) -> list[int]:
-    """Oracle counts for every r in 0..r_max, from one shared enumeration."""
+    """Oracle counts for every r in 0..r_max, from one shared enumeration.
+
+    Raises OracleBudgetExceeded before allocating when the enumeration would
+    hold more than MAX_ORACLE_ROWS exponent vectors.
+    """
     if r_max < 0:
         return []
+    rows = math.comb(r_max + stair.n, stair.n)
+    if rows > MAX_ORACLE_ROWS:
+        raise OracleBudgetExceeded(
+            f"the counting oracle up to r={r_max} over {stair.n} operators needs "
+            f"{rows} rows, more than the limit of {MAX_ORACLE_ROWS}"
+        )
     grid = _grid_up_to(stair.n, r_max)
     sums = grid.sum(axis=1, dtype=np.int64)
     per_sum = np.zeros(r_max + 1, dtype=np.int64)

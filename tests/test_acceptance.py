@@ -284,3 +284,26 @@ def test_criterion_12(capsys):
         second = capsys.readouterr().out
         assert first == second and first
         json.loads(first)
+
+
+def test_validity_threshold_is_sharp(maxwell_forward, maxwell_symmetric, potential_forward):
+    # the Hilbert-numerator bound max(deg K - n, 0) on the nine built-in
+    # cases; where it is positive the polynomial misses the count just below
+    cached = {
+        ("maxwell", "forward"): maxwell_forward[0],
+        ("maxwell", "symmetric"): maxwell_symmetric[0],
+        ("potential", "forward"): potential_forward[0],
+    }
+    want = {
+        "diffusion": (0, 1, 1),
+        "maxwell": (0, 0, 2),
+        "potential": (0, 1, 3),
+    }
+    for name, thresholds in want.items():
+        for scheme_name, r0 in zip((None, "forward", "symmetric"), thresholds):
+            doc = cached.get((name, scheme_name)) or timed_compute(name, scheme_name)[0]
+            assert doc.dim.validity_threshold == r0, (name, scheme_name)
+            assert doc.validation.ok
+            if r0 > 0:
+                below = free_term_counts(doc.staircase, r0 - 1)[r0 - 1]
+                assert doc.dim.polynomial(r0 - 1) != below, (name, scheme_name)

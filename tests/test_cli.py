@@ -134,6 +134,14 @@ class TestOracleCheck:
         )
         assert code == 0  # r below the validity threshold never fails the check
 
+    def test_oracle_budget_exits_3(self, capsys):
+        # C(100002, 2) ~ 5e9 rows: refused before the grid is built
+        code, _, err = run(capsys, "oracle-check", "--builtin", "diffusion", "--r", "100000")
+        assert code == 3
+        assert "limit" in err
+        code, _, _ = run(capsys, "compute", "--builtin", "diffusion", "--validate-window", "100000")
+        assert code == 3
+
     def test_agrees_with_validation_block(self, capsys):
         for args in (
             ("--builtin", "diffusion"),

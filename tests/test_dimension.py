@@ -1,13 +1,15 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dimpoly import (
+    OracleBudgetExceeded,
     PolyQ,
     Staircase,
-    StaircaseTooLarge,
     TermOrder,
     binomial_poly,
     buchberger,
@@ -23,7 +25,7 @@ from dimpoly import (
     to_binomial_basis,
     validate_polynomial,
 )
-from dimpoly.dimension import lagrange_interpolate
+from dimpoly.dimension import MAX_ORACLE_ROWS, lagrange_interpolate
 
 from conftest import A, FORWARD_INPUTS, SIGMA_ORDER, el0
 
@@ -86,12 +88,19 @@ class TestOracle:
             counts = free_term_counts(stair, 8)
             assert counts == [free_term_count_oracle(stair, r) for r in range(9)]
 
+    def test_budget_refused_before_enumerating(self):
+        stair = Staircase.build([[(30,) + (0,) * 7]], 8)
+        assert math.comb(38, 8) > MAX_ORACLE_ROWS  # 48.9M rows
+        with pytest.raises(OracleBudgetExceeded):
+            free_term_counts(stair, 30)
+        assert free_term_counts(stair, 2) == [1, 9, 45]
+
 
 class TestDimensionPolynomial:
     def test_heat(self):
         report = dimension_polynomial(HEAT_STAIRCASE, kind="differential")
         assert report.polynomial == parse_poly("2*t+1")
-        assert report.validity_threshold == 2
+        assert report.validity_threshold == 0
 
     def test_diffusion_forward(self):
         report = dimension_polynomial(FORWARD_STAIRCASE, kind="inversive")
@@ -101,10 +110,14 @@ class TestDimensionPolynomial:
         report = dimension_polynomial(SYMMETRIC_STAIRCASE, kind="inversive")
         assert report.polynomial == parse_poly("4*t")
 
-    def test_blowup_guard(self):
-        vectors = [(i, 26 - i) for i in range(26)]
-        with pytest.raises(StaircaseTooLarge):
-            dimension_polynomial(Staircase.build([vectors], 2), kind="difference")
+    def test_wide_antichain(self):
+        # 26 vectors: 2^26 subsets for inclusion-exclusion, no cap here
+        stair = Staircase.build([[(i, 26 - i) for i in range(26)]], 2)
+        report = dimension_polynomial(stair, kind="difference")
+        assert report.polynomial == parse_poly("t+326")
+        assert report.validity_threshold == 25
+        counts = free_term_counts(stair, 29)
+        assert all(report.polynomial(r) == counts[r] for r in range(25, 30))
 
     def test_matches_oracle_exhaustively_small(self):
         grid = list(itertools.product(range(3), repeat=2))
@@ -154,6 +167,41 @@ class TestDimensionPolynomial:
             base = dimension_polynomial(Staircase.build([vectors], n), kind="difference")
             more = dimension_polynomial(Staircase.build([vectors + [extra]], n), kind="difference")
             assert compare_strength(more.polynomial, base.polynomial) in ("stronger", "equal")
+
+
+def inclusion_exclusion(stair):
+    """The polynomial as a signed sum of C(t + n - f, n) over every subset of
+    each antichain, f the degree of the subset's lcm."""
+    total = PolyQ()
+    for antichain in stair.per_generator:
+        for size in range(len(antichain) + 1):
+            for subset in itertools.combinations(antichain, size):
+                f = sum(map(max, zip(*subset)))
+                total = total + binomial_poly(stair.n, f).scaled((-1) ** size)
+    return total
+
+
+@st.composite
+def staircases(draw):
+    n = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(0, 3)] * n)
+    gens = draw(st.lists(st.lists(vector, max_size=8), min_size=1, max_size=2))
+    return Staircase.build(gens, n)
+
+
+class TestHilbertNumerator:
+    @given(staircases())
+    def test_random_staircases(self, stair):
+        report = dimension_polynomial(stair, kind="difference")
+        assert report.polynomial == inclusion_exclusion(stair)
+        n, r0 = stair.n, report.validity_threshold
+        counts = free_term_counts(stair, r0 + n + 2)
+        assert all(report.polynomial(r) == counts[r] for r in range(r0, r0 + n + 3))
+        # never above the sum of componentwise maxima, and sharp
+        old_bound = max((sum(map(max, zip(*a))) for a in stair.per_generator if a), default=0)
+        assert r0 <= old_bound
+        if r0 > 0:
+            assert report.polynomial(r0 - 1) != counts[r0 - 1]
 
 
 class TestBinomialBasis:
@@ -267,7 +315,7 @@ class TestValidation:
     def test_heat_window(self):
         report = dimension_polynomial(HEAT_STAIRCASE, kind="differential")
         record = validate_polynomial(report, HEAT_STAIRCASE, window=5)
-        assert record.ok and record.checked_range == (2, 7)
+        assert record.ok and record.checked_range == (0, 5)
         assert record.interpolated == report.polynomial
 
     def test_zero_staircase(self):
@@ -294,7 +342,7 @@ class TestValidation:
         assert not record.ok
         assert record.first_mismatch is not None
         r, count, value = record.first_mismatch
-        assert r == 2 and count == 5 and value == "6"
+        assert r == 0 and count == 1 and value == "2"
 
 
 class TestPolyStrings:

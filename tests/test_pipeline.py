@@ -88,7 +88,7 @@ class TestJsonReport:
         assert data["scheme"] == "forward"
         assert data["groebner"]["size"] == "6"
         assert data["polynomial"]["standard"] == "5*t"
-        assert data["polynomial"]["validity_threshold"] == "6"
+        assert data["polynomial"]["validity_threshold"] == "1"
         assert data["validation"]["ok"] is True
         # all leaf numbers are exact strings
         assert all(isinstance(v, str) for v in data["polynomial"].values())
