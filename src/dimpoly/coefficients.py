@@ -1,10 +1,42 @@
 """Exact coefficient arithmetic: rationals and univariate rational functions.
 
 A coefficient is either a ``fractions.Fraction`` or a :class:`RationalFunction`
-(a reduced quotient of univariate polynomials over Q in one named symbolic
-parameter).  Arithmetic between the two promotes the Fraction to a constant
-and re-normalizes; results that turn out constant collapse back to Fraction,
+(a quotient of univariate polynomials over Q in one named symbolic
+parameter).  A RationalFunction is kept in one canonical form: ``num`` and
+``den`` are tuples of Fraction without trailing zeros, ``den`` is monic and
+gcd(num, den) = 1.  Results that turn out constant collapse back to Fraction,
 so Fraction is the canonical form of every constant value.
+
+Reduction costs a polynomial gcd, so arithmetic takes one only where the
+operands can share a factor.  With x = n/d canonical and c a nonzero scalar
+(``int`` or ``Fraction``), each operation builds its canonical result
+directly:
+
+* ``x + c``, ``x - c``, ``c - x``: (±n + c*d)/d; gcd(±n + c*d, d) =
+  gcd(n, d) = 1 and d is unchanged, so no gcd runs;
+* ``-x``, ``c * x``, ``x / c``: (u*n)/d for a nonzero rational u; a unit
+  factor changes no gcd, so no gcd runs;
+* ``inverse(x)``, ``1 / x``, ``c / x``: d/n, divided by the leading
+  coefficient of n to make it monic; gcd(d, n) = 1, no gcd runs;
+* ``x ** k``: n^k/d^k; coprime bases give coprime powers, no gcd runs;
+* ``x * y`` (Henrici's product): only n1 with d2, and n2 with d1, can share
+  factors, so gcd(n1, d2) and gcd(n2, d1) are cancelled first and the
+  product of the cofactors is reduced and monic; the full gcd of the product
+  is skipped;
+* ``x + y`` (Henrici's sum): with g = gcd(d1, d2), the sum is
+  t/((d1/g)*d2) where t = n1*(d2/g) + n2*(d1/g); a common factor of t and
+  the denominator can only divide g, so h = gcd(t, g) is cancelled from t and
+  d2 and the full gcd is skipped; when g = 1 the cross-multiplied pair is
+  already reduced.  Subtraction is addition of the negation, division is
+  multiplication by the inverse;
+* the public constructor ``RationalFunction(parameter, num, den)``
+  normalizes any pair with one gcd, skipped when either side is a nonzero
+  constant, because that gcd is 1.
+
+The gcd helper itself returns 1 without dividing when either argument is a
+nonzero constant, which covers the Henrici gcds with a constant side.
+Henrici's formulas are in P. Henrici, JACM 3 (1956), and in Knuth, TAOCP
+Vol. 2, section 4.5.1.
 
 All values are immutable and safe to share between threads.
 """
@@ -38,6 +70,7 @@ class PoleError(ZeroDivisionError):
 # Dense univariate polynomial over Q: tuple of Fractions, ascending powers,
 # no trailing zeros.  The zero polynomial is the empty tuple.
 _Poly = tuple
+_ONE: _Poly = (Fraction(1),)
 
 
 def _trim(coeffs) -> _Poly:
@@ -45,11 +78,6 @@ def _trim(coeffs) -> _Poly:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
-
-
-def _const(x) -> _Poly:
-    x = Fraction(x)
-    return (x,) if x else ()
 
 
 def _add(a: _Poly, b: _Poly) -> _Poly:
@@ -102,6 +130,9 @@ def _monic(a: _Poly) -> _Poly:
 
 
 def _gcd(a: _Poly, b: _Poly) -> _Poly:
+    """Monic gcd; 1 without division when either side is a nonzero constant."""
+    if len(a) == 1 or len(b) == 1:
+        return _ONE
     while b:
         a, b = b, _divmod(a, b)[1]
     return _monic(a)
@@ -144,14 +175,16 @@ def _n_terms(a: _Poly) -> int:
 class RationalFunction:
     """Reduced quotient of univariate polynomials over Q in one parameter.
 
-    Invariants: denominator is nonzero and monic, gcd(num, den) = 1.
-    Constant values normally never appear as RationalFunction: arithmetic
-    collapses them to Fraction.
+    Invariants: ``num`` and ``den`` are trimmed tuples of Fraction, ``den``
+    is monic and gcd(num, den) = 1, so zero is ``((), (1,))``.  The public
+    constructor normalizes any pair; arithmetic builds its results through
+    :func:`_reduced` and collapses constant values to Fraction, so constants
+    normally never appear as RationalFunction.
     """
 
     __slots__ = ("parameter", "num", "den")
 
-    def __init__(self, parameter: str, num, den=(Fraction(1),)):
+    def __init__(self, parameter: str, num, den=_ONE):
         num = _trim(Fraction(c) for c in num)
         den = _trim(Fraction(c) for c in den)
         if not den:
@@ -174,76 +207,82 @@ class RationalFunction:
     # -- structure ---------------------------------------------------------
 
     def is_constant(self) -> bool:
-        return len(self.num) <= 1 and self.den == (Fraction(1),)
+        return len(self.num) <= 1 and self.den == _ONE
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise CoefficientError(f"{self!r} is not constant")
         return self.num[0] if self.num else Fraction(0)
 
-    def _coerce(self, other) -> "RationalFunction | None":
-        if isinstance(other, RationalFunction):
-            if other.parameter != self.parameter:
-                raise CoefficientError(
-                    f"parameter mismatch: {self.parameter!r} vs {other.parameter!r}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction(self.parameter, _const(other))
-        return None
+    def _check(self, other: "RationalFunction") -> None:
+        if other.parameter != self.parameter:
+            raise CoefficientError(
+                f"parameter mismatch: {self.parameter!r} vs {other.parameter!r}"
+            )
+
+    def _inverse(self) -> "Coeff":
+        if not self.num:
+            raise ZeroDivisionError("division by zero coefficient")
+        inv = 1 / self.num[-1]
+        return _reduced(self.parameter, _scale(self.den, inv), _scale(self.num, inv))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        num = _add(_mul(self.num, o.den), _mul(o.num, self.den))
-        return _build(self.parameter, num, _mul(self.den, o.den))
+        if isinstance(other, RationalFunction):
+            self._check(other)
+            return _sum(self.parameter, self.num, self.den, other.num, other.den)
+        if isinstance(other, (int, Fraction)):
+            return _reduced(self.parameter, _add(self.num, _scale(self.den, other)), self.den)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _build(self.parameter, _neg(self.num), self.den)
+        return _reduced(self.parameter, _neg(self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, RationalFunction):
+            self._check(other)  # before -other can collapse to a Fraction
+        elif not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _build(self.parameter, _mul(self.num, o.num), _mul(self.den, o.den))
+        if isinstance(other, RationalFunction):
+            self._check(other)
+            return _product(self.parameter, self.num, self.den, other.num, other.den)
+        if isinstance(other, (int, Fraction)):
+            return _reduced(self.parameter, _scale(self.num, other), self.den)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.num:
-            raise ZeroDivisionError("division by zero coefficient")
-        return _build(self.parameter, _mul(self.num, o.den), _mul(self.den, o.num))
+        if isinstance(other, RationalFunction):
+            self._check(other)
+            return self * other._inverse()
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("division by zero coefficient")
+            return _reduced(self.parameter, _scale(self.num, 1 / Fraction(other)), self.den)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        if isinstance(other, (int, Fraction)):
+            return self._inverse() * other
+        return NotImplemented
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise CoefficientError("coefficient powers must be nonnegative integers")
-        out: Coeff = Fraction(1)
+        num = den = _ONE
         for _ in range(k):
-            out = out * self
-        return out
+            num, den = _mul(num, self.num), _mul(den, self.den)
+        return _reduced(self.parameter, num, den)
 
     # -- comparisons -------------------------------------------------------
 
@@ -273,12 +312,47 @@ class RationalFunction:
         return coeff_str(self)
 
 
-def _build(parameter: str, num, den):
-    """Normalize, collapsing constants to Fraction."""
-    rf = RationalFunction(parameter, num, den)
-    if rf.is_constant():
-        return rf.constant_value()
+def _reduced(parameter: str, num: _Poly, den: _Poly) -> "Coeff":
+    """The trusted constructor: wrap a pair already in canonical form
+    without checking it; constant values collapse to Fraction."""
+    if not num:
+        return Fraction(0)
+    if len(num) == 1 and len(den) == 1:
+        return num[0]
+    rf = object.__new__(RationalFunction)
+    object.__setattr__(rf, "parameter", parameter)
+    object.__setattr__(rf, "num", num)
+    object.__setattr__(rf, "den", den)
     return rf
+
+
+def _scale(a: _Poly, c) -> _Poly:
+    return tuple(c * x for x in a) if c else ()
+
+
+def _product(parameter: str, n1: _Poly, d1: _Poly, n2: _Poly, d2: _Poly) -> "Coeff":
+    """Henrici's product n1/d1 * n2/d2 of reduced fractions."""
+    if not n1 or not n2:
+        return Fraction(0)
+    g1, g2 = _gcd(n1, d2), _gcd(n2, d1)
+    if len(g1) > 1:
+        n1, d2 = _divmod(n1, g1)[0], _divmod(d2, g1)[0]
+    if len(g2) > 1:
+        n2, d1 = _divmod(n2, g2)[0], _divmod(d1, g2)[0]
+    return _reduced(parameter, _mul(n1, n2), _mul(d1, d2))
+
+
+def _sum(parameter: str, n1: _Poly, d1: _Poly, n2: _Poly, d2: _Poly) -> "Coeff":
+    """Henrici's sum n1/d1 + n2/d2 of reduced fractions."""
+    g = _gcd(d1, d2)
+    if len(g) == 1:
+        return _reduced(parameter, _add(_mul(n1, d2), _mul(n2, d1)), _mul(d1, d2))
+    e1 = _divmod(d1, g)[0]
+    t = _add(_mul(n1, _divmod(d2, g)[0]), _mul(n2, e1))
+    h = _gcd(t, g)
+    if len(h) > 1:
+        t, d2 = _divmod(t, h)[0], _divmod(d2, h)[0]
+    return _reduced(parameter, t, _mul(e1, d2))
 
 
 Coeff = Union[Fraction, RationalFunction]
@@ -297,7 +371,7 @@ def as_coeff(x) -> Coeff:
 
 def inverse(c: Coeff) -> Coeff:
     if isinstance(c, RationalFunction):
-        return 1 / c
+        return c._inverse()
     if c == 0:
         raise ZeroDivisionError("division by zero coefficient")
     return Fraction(1) / Fraction(c)
