@@ -79,12 +79,12 @@ def _load_system(args):
     return Path(args.file).stem, doc.presentation
 
 
-def _resolve_scheme(args, name, presentation):
+def _resolve_scheme(args, presentation):
     if args.scheme and args.rule:
         raise ValueError("--scheme and --rule are mutually exclusive")
     if args.scheme:
-        if name in BUILTIN_NAMES:
-            return builtin_scheme(name, args.scheme), args.scheme
+        if args.builtin:
+            return builtin_scheme(args.builtin, args.scheme), args.scheme
         return named_scheme(args.scheme, presentation.operators), args.scheme
     if args.rule:
         assignments = {}
@@ -98,25 +98,29 @@ def _resolve_scheme(args, name, presentation):
     return None, None
 
 
-def _parse_order(args, presentation):
+def _parse_order(args):
     if not args.order:
         return None
     return tuple(n.strip() for n in args.order.split(",") if n.strip())
 
 
-def _cmd_compute(args) -> int:
+def _compute(args, **options):
+    """Load the input, resolve its scheme and term order, and run the pipeline."""
     name, presentation = _load_system(args)
-    scheme, scheme_name = _resolve_scheme(args, name, presentation)
-    trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
-    doc = compute_strength(
+    scheme, scheme_name = _resolve_scheme(args, presentation)
+    return compute_strength(
         presentation,
         system_name=name,
         scheme=scheme,
         scheme_name=scheme_name,
-        order_names=_parse_order(args, presentation),
-        validate_window=args.validate_window,
-        trace=trace,
+        order_names=_parse_order(args),
+        **options,
     )
+
+
+def _cmd_compute(args) -> int:
+    trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
+    doc = _compute(args, validate_window=args.validate_window, trace=trace)
     if args.json:
         sys.stdout.write(report_to_json(doc))
     else:
@@ -134,15 +138,7 @@ def _cmd_compare(args) -> int:
 def _cmd_oracle_check(args) -> int:
     if args.r < 0:
         raise ValueError("--r must be nonnegative")
-    name, presentation = _load_system(args)
-    scheme, scheme_name = _resolve_scheme(args, name, presentation)
-    doc = compute_strength(
-        presentation,
-        system_name=name,
-        scheme=scheme,
-        scheme_name=scheme_name,
-        order_names=_parse_order(args, presentation),
-    )
+    doc = _compute(args)
     count = free_term_counts(doc.staircase, args.r)[args.r]
     value = doc.dim.polynomial(args.r)
     r0 = doc.dim.validity_threshold

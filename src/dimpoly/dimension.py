@@ -181,10 +181,6 @@ class Staircase:
             gens.append(tuple(_minimal_antichain(vs)))
         return cls(tuple(gens), n)
 
-    @property
-    def num_generators(self) -> int:
-        return len(self.per_generator)
-
 
 def _minimal_antichain(vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     vectors = sorted(set(vectors), key=lambda v: (sum(v), v))

@@ -79,7 +79,23 @@ def _tokenize(text: str, line: int) -> list[_Tok]:
 
 
 class _ExprParser:
-    """Recursive descent over one relation or coefficient expression."""
+    """Recursive descent over one relation or coefficient expression.
+
+    One grammar serves relations and coefficients::
+
+        relation := sum ["=" sum]
+        sum      := ["+" | "-"] product (("+" | "-") product)*
+        product  := factor (("*" | "/") factor)*
+        factor   := (INT | parameter | "(" sum ")") ["^" INT]
+                  | operator ["^" ["+" | "-"] INT]
+                  | unknown
+
+    With ``module=True`` (a relation) a product is one term: its operator
+    factors multiply into the monomial and it needs exactly one unknown.
+    Parenthesised sums, divisors and `parse_coefficient` use ``module=False``,
+    where only the first kind of factor is allowed and a product is a
+    coefficient value.
+    """
 
     def __init__(self, tokens, *, operators, unknowns, parameter, kind):
         self.tokens = tokens
@@ -103,17 +119,11 @@ class _ExprParser:
         if tok.kind != "SYM" or tok.text != sym:
             raise DslError(f"expected {sym!r}, found {tok.text or 'end of line'!r}", tok.line, tok.col)
 
-    def fail(self, message: str):
-        tok = self.peek()
-        raise DslError(message, tok.line, tok.col)
-
-    # -- relations -----------------------------------------------------------
-
     def parse_relation(self) -> Element:
-        left = self.parse_sum()
+        left = self.parse_sum(module=True)
         if self.peek().kind == "SYM" and self.peek().text == "=":
             self.take()
-            right = self.parse_sum()
+            right = self.parse_sum(module=True)
             left = left - right
         self._expect_end()
         return left
@@ -123,78 +133,68 @@ class _ExprParser:
         if tok.kind != "END":
             raise DslError(f"unexpected {tok.text!r}", tok.line, tok.col)
 
-    def parse_sum(self) -> Element:
-        total = Element()
+    def parse_sum(self, module: bool):
+        total = Element() if module else Fraction(0)
         sign = 1
         tok = self.peek()
         if tok.kind == "SYM" and tok.text in "+-":
             self.take()
             sign = -1 if tok.text == "-" else 1
-        total = total + self.parse_term(sign)
         while True:
+            total = total + self.parse_product(module, sign)
             tok = self.peek()
-            if tok.kind == "SYM" and tok.text in "+-":
-                self.take()
-                total = total + self.parse_term(-1 if tok.text == "-" else 1)
-            else:
+            if not (tok.kind == "SYM" and tok.text in "+-"):
                 return total
+            self.take()
+            sign = -1 if tok.text == "-" else 1
 
-    def parse_term(self, sign: int) -> Element:
+    def parse_product(self, module: bool, sign: int):
         coeff: Coeff = Fraction(sign)
         exps = [0] * self.m
         gen: int | None = None
-
-        def absorb():
-            nonlocal coeff, gen
-            factor_tok = self.peek()
-            value, kind_tag = self.parse_factor(allow_module=True)
-            if kind_tag == "coeff":
-                coeff = coeff * value
-            elif kind_tag == "op":
-                op_index, power = value
-                exps[op_index] += power
-            else:  # unknown
-                if gen is not None:
-                    raise DslError(
-                        "a term may contain only one unknown", factor_tok.line, factor_tok.col
-                    )
-                gen = value
-
-        absorb()
+        divide = False
         while True:
             tok = self.peek()
-            if tok.kind == "SYM" and tok.text == "*":
-                self.take()
-                absorb()
-            elif tok.kind == "SYM" and tok.text == "/":
-                self.take()
-                div_tok = self.peek()
-                dvalue, _ = self.parse_factor(allow_module=False)
-                if not dvalue:
-                    raise DslError("division by zero", div_tok.line, div_tok.col)
-                coeff = coeff / dvalue
+            if divide:
+                value, _ = self.parse_factor(module=False)
+                if not value:
+                    raise DslError("division by zero", tok.line, tok.col)
+                coeff = coeff / value
             else:
-                break
-        if gen is None:
+                value, kind_tag = self.parse_factor(module)
+                if kind_tag == "coeff":
+                    coeff = coeff * value
+                elif kind_tag == "op":
+                    op_index, power = value
+                    exps[op_index] += power
+                elif gen is not None:
+                    raise DslError("a term may contain only one unknown", tok.line, tok.col)
+                else:
+                    gen = value
             tok = self.peek()
+            if not (tok.kind == "SYM" and tok.text in "*/"):
+                break
+            self.take()
+            divide = tok.text == "/"
+        if not module:
+            return coeff
+        if gen is None:
             raise DslError("term has no unknown", tok.line, tok.col)
         return Element({Term(gen, tuple(exps)): coeff})
 
-    def parse_factor(self, allow_module: bool):
+    def parse_factor(self, module: bool):
         tok = self.take()
         if tok.kind == "INT":
             base: Coeff = Fraction(int(tok.text))
-            return self._maybe_power_coeff(base, tok), "coeff"
-        if tok.kind == "SYM" and tok.text == "(":
-            value = self.parse_coeff_sum()
+        elif tok.kind == "SYM" and tok.text == "(":
+            base = self.parse_sum(module=False)
             self.expect_sym(")")
-            return self._maybe_power_coeff(value, tok), "coeff"
-        if tok.kind == "IDENT":
+        elif tok.kind == "IDENT" and tok.text == self.parameter:
+            base = parameter_symbol(tok.text)
+        elif tok.kind == "IDENT":
             name = tok.text
-            if name == self.parameter:
-                return self._maybe_power_coeff(parameter_symbol(name), tok), "coeff"
-            if allow_module and name in self.operators:
-                power = self._read_power(signed=True, tok=tok)
+            if module and name in self.operators:
+                power = self._read_power(signed=True)
                 if power < 0 and self.kind != "inversive":
                     raise DslError(
                         f"negative exponent on {name!r}: only kind=inversive permits them",
@@ -202,16 +202,19 @@ class _ExprParser:
                         tok.col,
                     )
                 return (self.operators[name], power), "op"
-            if allow_module and name in self.unknowns:
+            if module and name in self.unknowns:
                 nxt = self.peek()
                 if nxt.kind == "SYM" and nxt.text == "^":
                     raise DslError("unknowns enter relations linearly", nxt.line, nxt.col)
                 return self.unknowns[name], "unknown"
-            what = "identifier" if allow_module else "coefficient identifier"
+            what = "identifier" if module else "coefficient identifier"
             raise DslError(f"undeclared {what} {name!r}", tok.line, tok.col)
-        raise DslError(f"unexpected {tok.text or 'end of line'!r}", tok.line, tok.col)
+        else:
+            raise DslError(f"unexpected {tok.text or 'end of line'!r}", tok.line, tok.col)
+        k = self._read_power(signed=False)
+        return (base if k == 1 else base**k), "coeff"
 
-    def _read_power(self, *, signed: bool, tok: _Tok) -> int:
+    def _read_power(self, *, signed: bool) -> int:
         nxt = self.peek()
         if not (nxt.kind == "SYM" and nxt.text == "^"):
             return 1
@@ -230,59 +233,12 @@ class _ExprParser:
             raise DslError("coefficient powers must be nonnegative", num.line, num.col)
         return value
 
-    def _maybe_power_coeff(self, base: Coeff, tok: _Tok) -> Coeff:
-        power = self._read_power(signed=False, tok=tok)
-        if power == 1:
-            return base
-        out: Coeff = Fraction(1)
-        for _ in range(power):
-            out = out * base
-        return out
-
-    # -- coefficient expressions ----------------------------------------------
-
-    def parse_coeff_sum(self) -> Coeff:
-        total: Coeff = Fraction(0)
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "SYM" and tok.text in "+-":
-            self.take()
-            sign = -1 if tok.text == "-" else 1
-        total = total + self.parse_coeff_product() * sign
-        while True:
-            tok = self.peek()
-            if tok.kind == "SYM" and tok.text in "+-":
-                self.take()
-                piece = self.parse_coeff_product()
-                total = total + (piece if tok.text == "+" else -piece)
-            else:
-                return total
-
-    def parse_coeff_product(self) -> Coeff:
-        value, tag = self.parse_factor(allow_module=False)
-        assert tag == "coeff"
-        while True:
-            tok = self.peek()
-            if tok.kind == "SYM" and tok.text == "*":
-                self.take()
-                nxt, _ = self.parse_factor(allow_module=False)
-                value = value * nxt
-            elif tok.kind == "SYM" and tok.text == "/":
-                self.take()
-                div_tok = self.peek()
-                nxt, _ = self.parse_factor(allow_module=False)
-                if not nxt:
-                    raise DslError("division by zero", div_tok.line, div_tok.col)
-                value = value / nxt
-            else:
-                return value
-
 
 def parse_coefficient(text: str, parameter: str | None = None) -> Coeff:
     """Parse a standalone coefficient literal (the JSON report syntax)."""
     tokens = _tokenize(text, 1)
     parser = _ExprParser(tokens, operators=(), unknowns=(), parameter=parameter, kind="differential")
-    value = parser.parse_coeff_sum()
+    value = parser.parse_sum(module=False)
     parser._expect_end()
     return value
 
@@ -293,7 +249,6 @@ class SystemDocument:
 
     presentation: Presentation
     relation_lines: tuple[int, ...]
-    source: str
 
 
 def parse_system(text: str) -> SystemDocument:
@@ -362,7 +317,6 @@ def parse_system(text: str) -> SystemDocument:
     return SystemDocument(
         presentation=presentation,
         relation_lines=tuple(lineno for lineno, _ in relation_sources),
-        source=text,
     )
 
 

@@ -117,7 +117,7 @@ class Element:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset((t, _hashable(c)) for t, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "Element") -> "Element":
         out = dict(self.terms)
@@ -167,10 +167,6 @@ class Element:
             f"{t.gen}:{t.exps}:{c}" for t, c in sorted(self.terms.items())
         )
         return f"Element({body})"
-
-
-def _hashable(c: Coeff):
-    return c if isinstance(c, (Fraction, RationalFunction)) else Fraction(c)
 
 
 def _raw(terms: dict[Term, Coeff]) -> Element:

@@ -3,14 +3,14 @@ difference rules.
 
 Each derivation maps to a Laurent polynomial in the matching translation
 operator on a unit grid: forward s-1, backward 1-s^-1, central (s-s^-1)/2.
-Powers substitute monomial-wise (the degree-1 image is raised to the k-th
-power), except where an explicit per-power override supplies the stencil
-directly, e.g. the order-2 central stencil s-2+s^-1 for a second derivative.
+A power of a derivation maps to the same power of that image.  The one
+exception is the rule ``central2``: it is ``central`` except that the square
+maps to the order-2 central stencil s-2+s^-1 of a second derivative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -36,11 +36,10 @@ RULES: dict[str, Stencil] = {
     "forward": {1: Fraction(1), 0: Fraction(-1)},
     "backward": {0: Fraction(1), -1: Fraction(-1)},
     "central": {1: Fraction(1, 2), -1: Fraction(-1, 2)},
+    "central2": {1: Fraction(1, 2), -1: Fraction(-1, 2)},
 }
 
-CENTRAL2_OVERRIDE: dict[int, Stencil] = {
-    2: {1: Fraction(1), 0: Fraction(-2), -1: Fraction(1)}
-}
+_CENTRAL2_SQUARE: Stencil = {1: Fraction(1), 0: Fraction(-2), -1: Fraction(1)}
 
 
 def _stencil_mul(a: Stencil, b: Stencil) -> Stencil:
@@ -57,40 +56,31 @@ def _stencil_mul(a: Stencil, b: Stencil) -> Stencil:
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """Per-operator substitution rules plus optional per-power overrides."""
+    """The rule (a key of `RULES`) applied to each operator."""
 
     rules: Mapping[str, str]
-    overrides: Mapping[str, Mapping[int, Stencil]] = field(default_factory=dict)
 
     def __post_init__(self):
         for op, rule in self.rules.items():
             if rule not in RULES:
                 raise ValueError(f"unknown rule {rule!r} for operator {op!r}")
-        for op, table in self.overrides.items():
-            if op not in self.rules:
-                raise ValueError(f"override for undeclared operator {op!r}")
-            for k in table:
-                if k < 1:
-                    raise ValueError(f"override power {k} must be >= 1")
 
     def describe(self) -> str:
-        pieces = []
-        for op, rule in self.rules.items():
-            tag = rule
-            if op in self.overrides:
-                tag += "+" + ",".join(f"k{k}" for k in sorted(self.overrides[op]))
-            pieces.append(f"{op}={tag}")
-        return " ".join(pieces)
+        """``op=rule`` pairs; ``central2`` shows as ``central+k2``, the
+        central rule with its own stencil for the square."""
+        return " ".join(
+            f"{op}={'central+k2' if rule == 'central2' else rule}" for op, rule in self.rules.items()
+        )
 
 
-def stencil_image(rule: str, k: int, override: Mapping[int, Stencil] | None = None) -> Stencil:
+def stencil_image(rule: str, k: int) -> Stencil:
     """Image of the k-th power of one derivation under a rule."""
     if k < 0:
         raise ValueError("derivation powers are nonnegative")
     if k == 0:
         return {0: Fraction(1)}
-    if override and k in override:
-        return dict(override[k])
+    if rule == "central2" and k == 2:
+        return dict(_CENTRAL2_SQUARE)
     base = RULES[rule]
     out = dict(base)
     for _ in range(k - 1):
@@ -115,7 +105,7 @@ def discretize(p: Presentation, spec: SchemeSpec) -> Presentation:
             expansion: dict[tuple[int, ...], Coeff] = {(): Fraction(1)}
             for i in range(m):
                 op = p.operators[i]
-                image = stencil_image(spec.rules[op], t.exps[i], spec.overrides.get(op))
+                image = stencil_image(spec.rules[op], t.exps[i])
                 grown: dict[tuple[int, ...], Coeff] = {}
                 for prefix, cp in expansion.items():
                     for shift, cs in image.items():
@@ -157,10 +147,9 @@ def symmetric_space_forward_time(operators: tuple[str, ...]) -> SchemeSpec:
     last declared operator is taken as time."""
     if not operators:
         raise ValueError("need at least one operator")
-    rules = {op: "central" for op in operators[:-1]}
+    rules = {op: "central2" for op in operators[:-1]}
     rules[operators[-1]] = "forward"
-    overrides = {op: CENTRAL2_OVERRIDE for op in operators[:-1]}
-    return SchemeSpec(rules=rules, overrides=overrides)
+    return SchemeSpec(rules=rules)
 
 
 _PRESETS = {
@@ -180,18 +169,8 @@ def named_scheme(name: str, operators: tuple[str, ...]) -> SchemeSpec:
 def rule_spec(assignments: Mapping[str, str], operators: tuple[str, ...]) -> SchemeSpec:
     """Build a scheme from per-operator rule names (forward | backward |
     central | central2); operators without an assignment default to forward."""
-    rules: dict[str, str] = {}
-    overrides: dict[str, Mapping[int, Stencil]] = {}
-    for op in operators:
-        name = assignments.get(op, "forward")
-        if name == "central2":
-            rules[op] = "central"
-            overrides[op] = CENTRAL2_OVERRIDE
-        elif name in RULES:
-            rules[op] = name
-        else:
-            raise ValueError(f"unknown rule {name!r} for operator {op!r}")
+    spec = SchemeSpec(rules={op: assignments.get(op, "forward") for op in operators})
     unknown_ops = set(assignments) - set(operators)
     if unknown_ops:
         raise ValueError(f"rules reference undeclared operators {sorted(unknown_ops)}")
-    return SchemeSpec(rules=rules, overrides=overrides)
+    return spec

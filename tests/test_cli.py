@@ -156,6 +156,57 @@ class TestOracleCheck:
             assert (code2 == 0) == data["validation"]["ok"]
 
 
+AB_SRC = """\
+kind differential
+operators a b
+unknowns u
+relation a*u - b^2*u
+"""
+
+
+class TestSchemeAliasesFollowBuiltin:
+    """Per-built-in scheme aliases apply to --builtin only, never to a file
+    that happens to share a built-in's name."""
+
+    def _pair(self, capsys, tmp_path, src, names, *argv):
+        outs = []
+        for name in names:
+            path = tmp_path / f"{name}.txt"
+            path.write_text(src)
+            code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+            assert code == 0, err
+            outs.append(out.replace(f"system: {name} ", "system: NAME "))
+        return outs
+
+    def test_compute_builtin_named_file_uses_preset(self, capsys, tmp_path):
+        heat, diffusion = self._pair(
+            capsys, tmp_path, DIFFUSION_SRC, ("heat", "diffusion"), "compute", "--scheme", "symmetric"
+        )
+        assert diffusion == heat
+        assert "scheme: symmetric [x=central t=central]" in diffusion
+        assert diffusion.rstrip().endswith("psi(t) = 8*t-4")
+
+    def test_compute_foreign_operators_under_builtin_name(self, capsys, tmp_path):
+        waves, maxwell = self._pair(
+            capsys, tmp_path, AB_SRC, ("waves", "maxwell"), "compute", "--scheme", "forward"
+        )
+        assert maxwell == waves
+        assert maxwell.rstrip().endswith("psi(t) = 5*t")
+
+    def test_oracle_check_builtin_named_file_uses_preset(self, capsys, tmp_path):
+        heat, diffusion = self._pair(
+            capsys, tmp_path, DIFFUSION_SRC, ("heat", "diffusion"),
+            "oracle-check", "--scheme", "symmetric", "--r", "4",
+        )
+        assert diffusion == heat == "oracle count at r=4: 28\npolynomial value at r=4: 28\n"
+
+    def test_oracle_check_foreign_operators_under_builtin_name(self, capsys, tmp_path):
+        waves, maxwell = self._pair(
+            capsys, tmp_path, AB_SRC, ("waves", "maxwell"), "oracle-check", "--scheme", "forward", "--r", "4"
+        )
+        assert maxwell == waves == "oracle count at r=4: 20\npolynomial value at r=4: 20\n"
+
+
 class TestListBuiltins:
     def test_listing(self, capsys):
         code, out, _ = run(capsys, "list-builtins")

@@ -107,6 +107,70 @@ class TestParse:
         assert rel == el0((1, (0, 1)), (-(2 * A - 1), (1, 0)), (-(1 + 1 / A), (0, 0)))
 
 
+TABLE_SRC = "kind {kind}\noperators x t\nparameter a\nunknowns u v\nrelation {rel}\n"
+
+
+class TestExpressionTable:
+    """Exact messages and positions of every expression-parser error, and the
+    canonical rendering of accepted non-canonical forms."""
+
+    @pytest.mark.parametrize(
+        "rel,message",
+        [
+            ("t*u - b*u", "line 5, column 7: undeclared identifier 'b'"),
+            ("(b+1)*u", "line 5, column 2: undeclared coefficient identifier 'b'"),
+            ("u/x", "line 5, column 3: undeclared coefficient identifier 'x'"),
+            ("x^-1*u", "line 5, column 1: negative exponent on 'x': only kind=inversive permits them"),
+            ("u^2", "line 5, column 2: unknowns enter relations linearly"),
+            ("t*u + x", "line 5, column 8: term has no unknown"),
+            ("u*v", "line 5, column 3: a term may contain only one unknown"),
+            ("u/0", "line 5, column 3: division by zero"),
+            ("u/(a-a)", "line 5, column 3: division by zero"),
+            ("(a+1*u", "line 5, column 6: undeclared coefficient identifier 'u'"),
+            ("u*(a+1", "line 5, column 7: expected ')', found 'end of line'"),
+            ("(a+1)*u)", "line 5, column 8: unexpected ')'"),
+            ("x^a*u", "line 5, column 3: expected an integer exponent"),
+            ("a^-1*u", "line 5, column 4: coefficient powers must be nonnegative"),
+            ("t*u +", "line 5, column 6: unexpected 'end of line'"),
+            ("- - u", "line 5, column 3: unexpected '-'"),
+            ("t*u = = u", "line 5, column 7: unexpected '='"),
+        ],
+    )
+    def test_error(self, rel, message):
+        with pytest.raises(DslError) as err:
+            parse_system(TABLE_SRC.format(kind="differential", rel=rel))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "kind,rel,rendered",
+        [
+            ("differential", "x*2*u", "2*x*u"),
+            ("differential", "(a+1)^2*u", "(a^2+2*a+1)*u"),
+            ("differential", "u/2 + x*v/a", "1/a*x*v + 1/2*u"),
+            ("differential", "2^3*u", "8*u"),
+            ("differential", "a^0*u", "u"),
+            ("differential", "+t*u = x*u - u", "-x*u + t*u + u"),
+            ("inversive", "x^-2*t*u", "x^-2*t*u"),
+        ],
+    )
+    def test_accepted(self, kind, rel, rendered):
+        p = parse_system(TABLE_SRC.format(kind=kind, rel=rel)).presentation
+        assert render_element(p, p.relations[0]) == rendered
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("(1+a", "line 1, column 5: expected ')', found 'end of line'"),
+            ("1/(a-a)", "line 1, column 3: division by zero"),
+            ("2 a", "line 1, column 3: unexpected 'a'"),
+        ],
+    )
+    def test_coefficient_error(self, text, message):
+        with pytest.raises(DslError) as err:
+            parse_coefficient(text, "a")
+        assert str(err.value) == message
+
+
 class TestCoefficientLiterals:
     @pytest.mark.parametrize(
         "text,value",
@@ -235,7 +299,6 @@ class TestBuiltins:
 
     def test_diffusion_scheme_alias(self):
         sym = builtin_scheme("diffusion", "symmetric")
-        assert sym.rules == {"x": "central", "t": "forward"}
-        assert "x" in sym.overrides
+        assert sym.rules == {"x": "central2", "t": "forward"}
         fwd = builtin_scheme("maxwell", "symmetric")
         assert set(fwd.rules.values()) == {"central"}

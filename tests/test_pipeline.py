@@ -14,6 +14,7 @@ from dimpoly import (
 )
 from dimpoly.builtin_systems import builtin_scheme
 from dimpoly.pipeline import compare_reports, resolve_order
+from dimpoly.schemes import rule_spec
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +113,19 @@ class TestJsonReport:
     def test_text_report_tail(self, heat_report, forward_report):
         assert report_to_text(heat_report).rstrip().endswith("phi(t) = 2*t+1")
         assert report_to_text(forward_report).rstrip().endswith("psi(t) = 5*t")
+
+    def test_scheme_line(self):
+        p = builtin_system("diffusion")
+        for spec, name, line in (
+            (builtin_scheme("diffusion", "symmetric"), "symmetric", "scheme: symmetric [x=central+k2 t=forward]"),
+            (
+                rule_spec({"x": "central2", "t": "backward"}, p.operators),
+                "x=central2,t=backward",
+                "scheme: x=central2,t=backward [x=central+k2 t=backward]",
+            ),
+        ):
+            doc = compute_strength(p, system_name="diffusion", scheme=spec, scheme_name=name)
+            assert line in report_to_text(doc).splitlines()
 
 
 class TestCompareReports:

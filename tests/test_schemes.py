@@ -18,7 +18,6 @@ from dimpoly import (
     symmetric_scheme,
     symmetric_space_forward_time,
 )
-from dimpoly.schemes import CENTRAL2_OVERRIDE
 
 from conftest import A, el0
 
@@ -34,7 +33,7 @@ class TestStencilImage:
         assert stencil_image("central", 2) == {2: Q, 0: -H, -2: Q}
 
     def test_central_square_with_override(self):
-        assert stencil_image("central", 2, CENTRAL2_OVERRIDE) == {1: 1, 0: -2, -1: 1}
+        assert stencil_image("central2", 2) == {1: 1, 0: -2, -1: 1}
 
     def test_power_zero_is_identity(self):
         assert stencil_image("forward", 0) == {0: 1}
@@ -128,15 +127,13 @@ class TestSpecs:
         assert named_scheme("forward", ("x", "t")).rules == {"x": "forward", "t": "forward"}
         assert named_scheme("symmetric", ("x", "t")).rules == {"x": "central", "t": "central"}
         mixed = named_scheme("symmetric-space-forward-time", ("x", "y", "t"))
-        assert mixed.rules == {"x": "central", "y": "central", "t": "forward"}
-        assert set(mixed.overrides) == {"x", "y"}
+        assert mixed.rules == {"x": "central2", "y": "central2", "t": "forward"}
         with pytest.raises(ValueError):
             named_scheme("upwind", ("x",))
 
     def test_rule_spec(self):
         spec = rule_spec({"x": "central2", "t": "forward"}, ("x", "t"))
-        assert spec.rules == {"x": "central", "t": "forward"}
-        assert spec.overrides == {"x": CENTRAL2_OVERRIDE}
+        assert spec.rules == {"x": "central2", "t": "forward"}
         # unspecified operators default to forward
         assert rule_spec({}, ("x",)).rules == {"x": "forward"}
         with pytest.raises(ValueError):
@@ -147,7 +144,3 @@ class TestSpecs:
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             SchemeSpec(rules={"x": "upwind"})
-        with pytest.raises(ValueError):
-            SchemeSpec(rules={"x": "central"}, overrides={"x": {0: {0: Fraction(1)}}})
-        with pytest.raises(ValueError):
-            SchemeSpec(rules={"x": "central"}, overrides={"y": {2: {0: Fraction(1)}}})
