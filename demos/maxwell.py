@@ -35,7 +35,8 @@ for scheme_name in ("forward", "symmetric"):
     elapsed = time.perf_counter() - start
     print(f"{scheme_name}: psi(t) = {poly_str(doc.dim.polynomial)}")
     print(f"  basis {len(doc.basis)} (completed {doc.basis.completed_size}), "
-          f"pairs {doc.basis.pairs_processed}, oracle ok {doc.validation.ok}, {elapsed:.1f}s")
+          f"pairs {doc.basis.pairs_processed} ({doc.basis.pairs_pruned} pruned), "
+          f"oracle ok {doc.validation.ok}, {elapsed:.1f}s")
     if scheme_name == "forward":
         forward_poly = doc.dim.polynomial
     else:

@@ -54,6 +54,8 @@ from .freemodule import (
     term_order,
 )
 from .groebner import (
+    MAX_PAIRS_FORMED,
+    CompletionBudgetExceeded,
     GroebnerBasis,
     apply_operator_poly,
     autoreduce,

@@ -1,13 +1,15 @@
 """Catalog of built-in systems.
 
-Each entry is defined in the input language and parsed on demand, so the
-catalog doubles as a parser exercise.  Per-system scheme aliases pin what
-"forward" and "symmetric" mean for that system: the diffusion equation's
-symmetric scheme is second-order central in space with a forward time
-difference, while the field systems use the all-central substitution.
+Each entry is defined in the input language and parsed once, on first use,
+so the catalog doubles as a parser exercise.  Per-system scheme aliases pin
+what "forward" and "symmetric" mean for that system: the diffusion
+equation's symmetric scheme is second-order central in space with a forward
+time difference, while the field systems use the all-central substitution.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .dsl import parse_system
 from .freemodule import Presentation
@@ -61,8 +63,10 @@ _SOURCES = {
 BUILTIN_NAMES = tuple(sorted(_SOURCES))
 
 
+@cache
 def builtin_system(name: str) -> Presentation:
-    """The named built-in presentation."""
+    """The named built-in presentation (immutable, so one parse serves every
+    caller)."""
     if name not in _SOURCES:
         raise KeyError(f"unknown builtin {name!r}; available: {', '.join(BUILTIN_NAMES)}")
     return parse_system(_SOURCES[name]).presentation

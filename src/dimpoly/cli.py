@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 input or usage error, 2 mathematical validation
 mismatch (the computed polynomial disagreed with the counting oracle), 3 the
-counting oracle would exceed its size limit (MAX_ORACLE_ROWS enumerated terms).
+counting oracle would exceed its size limit (MAX_ORACLE_ROWS enumerated terms),
+4 Groebner completion would form more than MAX_PAIRS_FORMED critical pairs.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from pathlib import Path
 from .builtin_systems import BUILTIN_NAMES, builtin_scheme, builtin_system
 from .dimension import OracleBudgetExceeded, free_term_counts
 from .dsl import DslError, parse_system
+from .groebner import CompletionBudgetExceeded
 from .pipeline import (
     compare_reports,
     compute_strength,
@@ -53,7 +55,9 @@ def _build_parser() -> _Parser:
     add_system_args(compute)
     compute.add_argument("--json", action="store_true", help="emit the JSON report")
     compute.add_argument("--validate-window", type=int, default=5, metavar="N")
-    compute.add_argument("--trace", action="store_true", help="log pair processing to stderr")
+    compute.add_argument(
+        "--trace", action="store_true", help="log every pair of the unpruned completion to stderr"
+    )
 
     compare = sub.add_parser("compare", help="compare two JSON reports by strength")
     compare.add_argument("left")
@@ -169,6 +173,9 @@ def main(argv=None) -> int:
     except OracleBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except CompletionBudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (DslError, ValueError, KeyError, OSError) as exc:
         if isinstance(exc, OSError):
             message = str(exc)

@@ -94,7 +94,8 @@ class _ExprParser:
     factors multiply into the monomial and it needs exactly one unknown.
     Parenthesised sums, divisors and `parse_coefficient` use ``module=False``,
     where only the first kind of factor is allowed and a product is a
-    coefficient value.
+    coefficient value.  An operator or unknown inside an open parenthesis is
+    reported as a missing ``)`` before it.
     """
 
     def __init__(self, tokens, *, operators, unknowns, parameter, kind):
@@ -105,6 +106,7 @@ class _ExprParser:
         self.parameter = parameter
         self.kind = kind
         self.m = len(operators)
+        self.depth = 0  # open parentheses
 
     def peek(self) -> _Tok:
         return self.tokens[self.i]
@@ -187,8 +189,10 @@ class _ExprParser:
         if tok.kind == "INT":
             base: Coeff = Fraction(int(tok.text))
         elif tok.kind == "SYM" and tok.text == "(":
+            self.depth += 1
             base = self.parse_sum(module=False)
             self.expect_sym(")")
+            self.depth -= 1
         elif tok.kind == "IDENT" and tok.text == self.parameter:
             base = parameter_symbol(tok.text)
         elif tok.kind == "IDENT":
@@ -207,6 +211,9 @@ class _ExprParser:
                 if nxt.kind == "SYM" and nxt.text == "^":
                     raise DslError("unknowns enter relations linearly", nxt.line, nxt.col)
                 return self.unknowns[name], "unknown"
+            if self.depth and (name in self.operators or name in self.unknowns):
+                what = "operator" if name in self.operators else "unknown"
+                raise DslError(f"missing ')' before {what} {name!r}", tok.line, tok.col)
             what = "identifier" if module else "coefficient identifier"
             raise DslError(f"undeclared {what} {name!r}", tok.line, tok.col)
         else:

@@ -12,14 +12,25 @@ reducing the tail.  When given a cofactor vector it updates it with every
 step, so each completed element can be expressed over the input list.
 
 :func:`autoreduce` also makes every element monic and sorts the basis into a
-deterministic canonical form.  Pair selection is a normal strategy: a queue
-keyed by (lcm total degree, insertion index).
+deterministic canonical form.
+
+:func:`buchberger` selects pairs by the normal strategy: a queue keyed by
+(lcm total degree, insertion index).  A popped pair (i, j) is skipped by
+Buchberger's chain criterion when some other element k on the same
+generator has a leading term dividing lcm(lt_i, lt_j) and the pairs (i, k)
+and (k, j) were popped before it, whether they were reduced or skipped.  Its
+S-polynomial then has a representation below that lcm through theirs, so
+skipping it keeps the result a Groebner basis.  With a ``trace``
+(``--trace``) every pair is reduced, so the trace replays the unpruned
+completion that published reduction chains follow.  ``pairs_processed``
+counts pairs formed, whether reduced or skipped; at most
+``MAX_PAIRS_FORMED`` are formed before :class:`CompletionBudgetExceeded` is
+raised.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -28,7 +39,9 @@ from .coefficients import Coeff, inverse
 from .freemodule import Element, Term, TermOrder, apply_monomial, divides, quotient
 
 __all__ = [
+    "CompletionBudgetExceeded",
     "GroebnerBasis",
+    "MAX_PAIRS_FORMED",
     "apply_operator_poly",
     "autoreduce",
     "buchberger",
@@ -41,6 +54,14 @@ __all__ = [
 # An operator polynomial: exponent vector -> coefficient.  Used to track how
 # basis elements decompose over the original generating set.
 OpPoly = dict[tuple, Coeff]
+
+# Completion refuses to form more critical pairs than this.  The largest
+# built-in (the potential forward scheme) forms 327.
+MAX_PAIRS_FORMED = 100_000
+
+
+class CompletionBudgetExceeded(ValueError):
+    """Completion would form more than ``MAX_PAIRS_FORMED`` critical pairs."""
 
 
 def s_polynomial(g1: Element, g2: Element, order: TermOrder) -> Element:
@@ -68,8 +89,11 @@ class GroebnerBasis:
     ``completed_size`` counts the basis as the completion loop left it
     (inputs plus every nonzero remainder), before redundant elements are
     dropped; published computations often report that larger set.
-    ``cofactors``, when tracked, holds for each basis element a vector of
-    operator polynomials expressing it over the original input list.
+    ``pairs_processed`` counts every pair formed; ``pairs_pruned`` is how
+    many of them the chain criterion skipped without reducing (always 0 when
+    completion ran with a trace).  ``cofactors``, when tracked, holds for
+    each basis element a vector of operator polynomials expressing it over
+    the original input list.
     """
 
     elements: tuple[Element, ...]
@@ -77,6 +101,7 @@ class GroebnerBasis:
     pairs_processed: int
     reduction_steps: int
     completed_size: int = 0
+    pairs_pruned: int = 0
     cofactors: tuple[tuple[OpPoly, ...], ...] | None = None
 
     def __len__(self):
@@ -206,7 +231,9 @@ def buchberger(
 
     Deterministic: pairs are processed in (lcm total degree, insertion index)
     order and zero input relations are dropped.  Elements are kept
-    unnormalized during the loop and made monic only at the end.
+    unnormalized during the loop and made monic only at the end.  Without a
+    ``trace`` the chain criterion skips redundant pairs; with one, every
+    pair is reduced and reported.
     """
     show = render if render is not None else repr
     inputs = [g for g in generators if g]
@@ -216,23 +243,33 @@ def buchberger(
         cof = _unit_cof(len(inputs), i, m) if track_cofactors else None
         basis.append(_Tracked(g, order, cof))
 
-    counter = itertools.count()
     heap: list[tuple[int, int, int, int]] = []
+    formed = 0
 
     def push_pairs(j: int):
+        nonlocal formed
         for i in range(j):
             if basis[i].lt.gen == basis[j].lt.gen:
+                if formed == MAX_PAIRS_FORMED:
+                    raise CompletionBudgetExceeded(
+                        f"completion would form more than {MAX_PAIRS_FORMED} pairs"
+                    )
                 lcm_deg = sum(max(a, b) for a, b in zip(basis[i].lt.exps, basis[j].lt.exps))
-                heapq.heappush(heap, (lcm_deg, next(counter), i, j))
+                heapq.heappush(heap, (lcm_deg, formed, i, j))
+                formed += 1
 
     for j in range(len(basis)):
         push_pairs(j)
 
-    pairs_processed = 0
-    reduction_steps = 0
+    handled: set[tuple[int, int]] = set()
+    pairs_processed = pairs_pruned = reduction_steps = 0
     while heap:
         _, _, i, j = heapq.heappop(heap)
         pairs_processed += 1
+        handled.add((i, j))
+        if trace is None and _chain_redundant(basis, handled, i, j):
+            pairs_pruned += 1
+            continue
         s, cof = _s_poly(basis[i], basis[j])
         if not s:
             if trace:
@@ -257,8 +294,26 @@ def buchberger(
         pairs_processed=pairs_processed,
         reduction_steps=reduction_steps,
         completed_size=completed_size,
+        pairs_pruned=pairs_pruned,
         cofactors=tuple(cofactors) if track_cofactors else None,
     )
+
+
+def _chain_redundant(basis: list[_Tracked], handled: set[tuple[int, int]], i: int, j: int) -> bool:
+    """Chain criterion for pair (i, j), i < j: some k other than i and j has
+    lt_k dividing lcm(lt_i, lt_j), and (i, k) and (k, j) are handled."""
+    a, b = basis[i].lt, basis[j].lt
+    lcm = Term(a.gen, tuple(map(max, a.exps, b.exps)))
+    for k, g in enumerate(basis):
+        if (
+            k != i
+            and k != j
+            and divides(g.lt, lcm)
+            and (min(i, k), max(i, k)) in handled
+            and (min(k, j), max(k, j)) in handled
+        ):
+            return True
+    return False
 
 
 def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder):

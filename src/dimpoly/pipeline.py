@@ -171,7 +171,8 @@ def report_to_text(doc: ReportDocument) -> str:
     lines.append(
         f"groebner basis: {len(doc.basis)} elements after autoreduction, "
         f"{doc.basis.completed_size} completed "
-        f"({doc.basis.pairs_processed} pairs, {doc.basis.reduction_steps} reduction steps)"
+        f"({doc.basis.pairs_processed} pairs, {doc.basis.pairs_pruned} pruned, "
+        f"{doc.basis.reduction_steps} reduction steps)"
     )
     for g in doc.basis:
         lines.append("  " + render_element(doc.working, g, doc.basis.order))

@@ -307,3 +307,26 @@ def test_validity_threshold_is_sharp(maxwell_forward, maxwell_symmetric, potenti
             if r0 > 0:
                 below = free_term_counts(doc.staircase, r0 - 1)[r0 - 1]
                 assert doc.dim.polynomial(r0 - 1) != below, (name, scheme_name)
+
+
+def test_completion_counters_pinned(maxwell_forward, maxwell_symmetric, potential_forward):
+    # pairs formed and completed sizes on the nine built-in cases; the chain
+    # criterion prunes pairs without changing either
+    cached = {
+        ("maxwell", "forward"): maxwell_forward[0],
+        ("maxwell", "symmetric"): maxwell_symmetric[0],
+        ("potential", "forward"): potential_forward[0],
+    }
+    want = {
+        "diffusion": ((0, 1), (15, 6), (10, 5)),
+        "maxwell": ((2, 8), (230, 80), (152, 64)),
+        "potential": ((10, 8), (327, 53), (186, 40)),
+    }
+    total = 0
+    for name, counters in want.items():
+        for scheme_name, expected in zip((None, "forward", "symmetric"), counters):
+            doc = cached.get((name, scheme_name)) or timed_compute(name, scheme_name)[0]
+            assert (doc.basis.pairs_processed, doc.basis.completed_size) == expected, (name, scheme_name)
+            total += doc.basis.pairs_processed
+    assert total == 932
+    assert potential_forward[0].basis.pairs_pruned > 0

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import dimpoly.groebner
 from dimpoly.cli import main
 
 DIFFUSION_SRC = """\
@@ -141,6 +142,13 @@ class TestOracleCheck:
         assert "limit" in err
         code, _, _ = run(capsys, "compute", "--builtin", "diffusion", "--validate-window", "100000")
         assert code == 3
+
+    def test_completion_budget_exits_4(self, capsys, monkeypatch):
+        # maxwell forward forms 230 pairs
+        monkeypatch.setattr(dimpoly.groebner, "MAX_PAIRS_FORMED", 100)
+        code, out, err = run(capsys, "compute", "--builtin", "maxwell", "--scheme", "forward")
+        assert code == 4
+        assert not out and "more than 100 pairs" in err
 
     def test_agrees_with_validation_block(self, capsys):
         for args in (

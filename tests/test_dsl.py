@@ -15,6 +15,7 @@ from dimpoly import (
     render_element,
     render_system,
 )
+import dimpoly.builtin_systems
 from dimpoly.builtin_systems import BUILTIN_NAMES, builtin_scheme
 
 from conftest import A, el0
@@ -126,7 +127,8 @@ class TestExpressionTable:
             ("u*v", "line 5, column 3: a term may contain only one unknown"),
             ("u/0", "line 5, column 3: division by zero"),
             ("u/(a-a)", "line 5, column 3: division by zero"),
-            ("(a+1*u", "line 5, column 6: undeclared coefficient identifier 'u'"),
+            ("(a+1*u", "line 5, column 6: missing ')' before unknown 'u'"),
+            ("(a+1)*(a*t*u", "line 5, column 10: missing ')' before operator 't'"),
             ("u*(a+1", "line 5, column 7: expected ')', found 'end of line'"),
             ("(a+1)*u)", "line 5, column 8: unexpected ')'"),
             ("x^a*u", "line 5, column 3: expected an integer exponent"),
@@ -296,6 +298,21 @@ class TestBuiltins:
                 pairs.append((1, tuple(sq), i))
                 pairs.append((-1, tuple(mixed), j))
             assert p.relations[i + 1] == Element.from_pairs(pairs)
+
+    def test_each_builtin_parsed_once(self, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_system(text)
+
+        monkeypatch.setattr(dimpoly.builtin_systems, "parse_system", counting)
+        builtin_system.cache_clear()
+        for name in BUILTIN_NAMES:
+            builtin_system(name)
+            for scheme in ("forward", "symmetric"):
+                builtin_scheme(name, scheme)
+        assert len(calls) == 3
 
     def test_diffusion_scheme_alias(self):
         sym = builtin_scheme("diffusion", "symmetric")

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import dimpoly.groebner
 from dimpoly import (
+    CompletionBudgetExceeded,
     Element,
     Term,
     TermOrder,
@@ -21,6 +23,8 @@ from dimpoly import (
     staircase_from_basis,
     free_term_count_oracle,
 )
+from dimpoly.builtin_systems import builtin_scheme, builtin_system
+from dimpoly.pipeline import compute_strength
 
 from conftest import (
     A,
@@ -188,6 +192,39 @@ class TestBuchberger:
         for pair, (chain, outcome) in expected.items():
             line = chains[pair]
             assert chain in line and outcome in line, line
+
+
+class TestPairPruning:
+    def test_trace_replays_every_pair(self):
+        traced = buchberger(FORWARD_INPUTS, SIGMA_ORDER, trace=lambda _: None)
+        pruned = buchberger(FORWARD_INPUTS, SIGMA_ORDER)
+        assert traced.pairs_pruned == 0
+        assert pruned.pairs_pruned > 0
+        assert pruned.elements == traced.elements
+        assert pruned.pairs_processed == traced.pairs_processed == 15
+
+    def test_pruning_may_change_the_completed_set(self):
+        # a skipped pair only has a representation below its lcm; its
+        # S-polynomial need not head-reduce to zero, so the unpruned run can
+        # add an element (and form pairs) that the pruned run never sees
+        inputs = [
+            el0((-3, (1, 1)), (1, (2, 0))),
+            el0((2, (0, 0)), (-1, (2, 0))),
+            el0((1, (1, 2)), (Fraction(1, 2), (2, 0))),
+            el0((-1, (0, 2)), (Fraction(-3, 2), (1, 2)), (-3, (2, 1))),
+        ]
+        pruned = buchberger(inputs, DIFF_ORDER)
+        replay = buchberger(inputs, DIFF_ORDER, trace=lambda _: None)
+        assert pruned.elements == replay.elements
+        assert is_groebner_basis(list(pruned.elements), DIFF_ORDER)
+        assert (pruned.completed_size, pruned.pairs_processed) == (8, 28)
+        assert (replay.completed_size, replay.pairs_processed) == (9, 36)
+
+    def test_pair_budget(self, monkeypatch):
+        # maxwell forward forms 230 pairs
+        monkeypatch.setattr(dimpoly.groebner, "MAX_PAIRS_FORMED", 100)
+        with pytest.raises(CompletionBudgetExceeded, match="more than 100 pairs"):
+            compute_strength(builtin_system("maxwell"), scheme=builtin_scheme("maxwell", "forward"))
 
 
 class TestIsGroebnerBasis:
@@ -427,3 +464,15 @@ def test_rank_two_completion_properties(inputs, f):
         for op_poly, h in zip(cof, inputs):
             acc = acc + apply_operator_poly(op_poly, h)
         assert acc == g
+    # the chain criterion changes which pairs are reduced; on this domain it
+    # also leaves pairs formed and completed size as they are, which is not a
+    # theorem (see test_pruning_may_change_the_completed_set).  A traced run
+    # replays the unpruned completion and reports every pair.
+    lines = []
+    replay = buchberger(inputs, DIFF_ORDER, trace=lines.append)
+    assert replay.pairs_pruned == 0
+    assert gb.elements == replay.elements
+    assert gb.completed_size == replay.completed_size
+    assert gb.pairs_processed == replay.pairs_processed == len(lines)
+    assert gb.reduction_steps <= replay.reduction_steps
+    assert 0 <= gb.pairs_pruned <= gb.pairs_processed
