@@ -14,7 +14,6 @@ operator ring.
 
 from .builtin_systems import BUILTIN_NAMES, builtin_scheme, builtin_system
 from .coefficients import (
-    Coeff,
     CoefficientError,
     PoleError,
     RationalFunction,
@@ -24,7 +23,6 @@ from .coefficients import (
     parameter_symbol,
 )
 from .dimension import (
-    DimPolyReport,
     OracleBudgetExceeded,
     PolyQ,
     Staircase,
@@ -42,13 +40,14 @@ from .dimension import (
     to_binomial_basis,
     validate_polynomial,
 )
-from .dsl import DslError, SystemDocument, parse_coefficient, parse_system, render_element, render_system
+from .dsl import DslError, parse_coefficient, parse_system, render_element, render_system
 from .freemodule import (
     Element,
     Presentation,
     Term,
     TermOrder,
     apply_monomial,
+    combine,
     divides,
     quotient,
     term_order,
@@ -56,8 +55,6 @@ from .freemodule import (
 from .groebner import (
     MAX_PAIRS_FORMED,
     CompletionBudgetExceeded,
-    GroebnerBasis,
-    apply_operator_poly,
     autoreduce,
     buchberger,
     is_groebner_basis,
@@ -72,7 +69,7 @@ from .inversive import (
     saturation_relations,
     sigma_operator_names,
 )
-from .pipeline import ReportDocument, compare_reports, compute_strength, report_from_json, report_to_json, report_to_text
+from .pipeline import compare_reports, compute_strength, report_from_json, report_to_json, report_to_text
 from .schemes import (
     SchemeSpec,
     discretize,

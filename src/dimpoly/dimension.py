@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .coefficients import _add, _eval, _mul, _neg, _poly_str
+from .dsl import parse_coefficient
 from .freemodule import Element, TermOrder
 
 __all__ = [
@@ -113,43 +114,25 @@ class PolyQ:
         return f"PolyQ({poly_str(self)!r})"
 
 
-def poly_str(p: PolyQ, var: str = "t") -> str:
-    """Descending-power rendering with exact rational coefficients."""
-    return _poly_str(p.coeffs, var)
+def poly_str(p: PolyQ) -> str:
+    """Descending-power rendering in t with exact rational coefficients."""
+    return _poly_str(p.coeffs, "t")
 
 
-def parse_poly(text: str, var: str = "t") -> PolyQ:
-    """Parse the output of :func:`poly_str` back to an exact polynomial."""
-    text = text.replace(" ", "")
-    if text in ("", "0"):
-        return PolyQ()
-    # split into signed monomials
-    pieces: list[str] = []
-    start = 0
-    for i, ch in enumerate(text):
-        if ch in "+-" and i > 0 and text[i - 1] not in "+-*^/":
-            pieces.append(text[start:i])
-            start = i
-    pieces.append(text[start:])
-    coeffs: dict[int, Fraction] = {}
-    for piece in pieces:
-        sign = Fraction(1)
-        while piece and piece[0] in "+-":
-            if piece[0] == "-":
-                sign = -sign
-            piece = piece[1:]
-        if var in piece:
-            head, _, tail = piece.partition(var)
-            coeff = Fraction(head.rstrip("*")) if head.rstrip("*") else Fraction(1)
-            k = int(tail[1:]) if tail.startswith("^") else 1
-        else:
-            coeff = Fraction(piece)
-            k = 0
-        coeffs[k] = coeffs.get(k, Fraction(0)) + sign * coeff
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return PolyQ(out)
+def parse_poly(text: str) -> PolyQ:
+    """Parse a polynomial in t, such as the output of :func:`poly_str`.
+
+    The text is a coefficient expression of the system language
+    (:func:`dimpoly.dsl.parse_coefficient` with parameter ``t``): integers,
+    fractions, ``t``, ``+ - * /``, parentheses and nonnegative ``^``.
+    Raises ValueError on a syntax error or a non-polynomial such as ``1/t``.
+    """
+    value = parse_coefficient(text, "t")
+    if isinstance(value, Fraction):
+        return PolyQ((value,))
+    if len(value.den) > 1:
+        raise ValueError(f"not a polynomial in t: {text!r}")
+    return PolyQ(value.num)
 
 
 @lru_cache(maxsize=None)
@@ -204,9 +187,7 @@ def staircase_from_basis(
     return Staircase.build(by_gen, n)
 
 
-def dimension_polynomial(
-    stair: Staircase, *, kind: str = "difference", m: int | None = None
-) -> "DimPolyReport":
+def dimension_polynomial(stair: Staircase, *, kind: str = "difference") -> "DimPolyReport":
     """Exact count of free terms, as a polynomial report.
 
     The Hilbert numerators K_g(t) of the generators' monomial ideals sum to
@@ -215,14 +196,18 @@ def dimension_polynomial(
     exact for r >= j - n, so the polynomial holds from the validity threshold
     max(deg K - n, 0).  The threshold is sharp: when it is positive, the
     polynomial is off by (-1)^n k_deg(K) at the order just below it.
+
+    The module dimension is read at degree m, the number of operators of
+    the presentation: n // 2 for an inversive staircase (which lives in the
+    doubled ring) and n otherwise.
     """
     n = stair.n
     if kind == "inversive":
         if n % 2:
             raise ValueError("inversive staircases need an even operator count")
-        m = n // 2 if m is None else m
+        m = n // 2
     else:
-        m = n if m is None else m
+        m = n
 
     numerator: tuple[int, ...] = ()
     for vectors in stair.per_generator:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .coefficients import Coeff, CoefficientError, RationalFunction, as_coeff
 
@@ -25,6 +25,7 @@ __all__ = [
     "Term",
     "TermOrder",
     "apply_monomial",
+    "combine",
     "divides",
     "quotient",
     "term_order",
@@ -185,6 +186,19 @@ def apply_monomial(exps: tuple[int, ...], f: Element) -> Element:
             for t, c in f.terms.items()
         }
     )
+
+
+def combine(cof: Element, gens: Sequence[Element]) -> Element:
+    """The combination sum c * x^e * gens[gen] over the terms of ``cof``.
+
+    ``cof`` is read as an element of the free module whose generator i stands
+    for ``gens[i]``: a cofactor vector, or a stencil acting on one element.
+    """
+    acc: dict[Term, Coeff] = {}
+    for t, c in cof.terms.items():
+        for s, x in apply_monomial(t.exps, gens[t.gen]).terms.items():
+            acc[s] = acc[s] + c * x if s in acc else c * x
+    return _raw({s: x for s, x in acc.items() if x})
 
 
 @dataclass(frozen=True)

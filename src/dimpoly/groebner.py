@@ -10,6 +10,11 @@ stops at the first irreducible leading term.  In full mode
 (:func:`normal_form`, :func:`autoreduce`) it sets that term aside and keeps
 reducing the tail.  When given a cofactor vector it updates it with every
 step, so each completed element can be expressed over the input list.
+A cofactor vector is itself an :class:`Element`, of the free module whose
+generator i stands for the i-th input (zero inputs keep their position), and
+it takes the same monomial shifts, scalings and differences as the element it
+tracks; ``combine(cof, inputs)`` from :mod:`dimpoly.freemodule` expands it
+back to that element.
 
 :func:`autoreduce` also makes every element monic and sorts the basis into a
 deterministic canonical form.
@@ -32,7 +37,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .coefficients import Coeff, inverse
@@ -42,7 +46,6 @@ __all__ = [
     "CompletionBudgetExceeded",
     "GroebnerBasis",
     "MAX_PAIRS_FORMED",
-    "apply_operator_poly",
     "autoreduce",
     "buchberger",
     "is_groebner_basis",
@@ -50,10 +53,6 @@ __all__ = [
     "reduce_element",
     "s_polynomial",
 ]
-
-# An operator polynomial: exponent vector -> coefficient.  Used to track how
-# basis elements decompose over the original generating set.
-OpPoly = dict[tuple, Coeff]
 
 # Completion refuses to form more critical pairs than this.  The largest
 # built-in (the potential forward scheme) forms 327.
@@ -92,8 +91,9 @@ class GroebnerBasis:
     ``pairs_processed`` counts every pair formed; ``pairs_pruned`` is how
     many of them the chain criterion skipped without reducing (always 0 when
     completion ran with a trace).  ``cofactors``, when tracked, holds for
-    each basis element a vector of operator polynomials expressing it over
-    the original input list.
+    each basis element its cofactor vector: an :class:`Element` whose
+    generator i stands for the i-th input, zero inputs included, so that
+    ``combine(cofactors[k], inputs) == elements[k]``.
     """
 
     elements: tuple[Element, ...]
@@ -102,7 +102,7 @@ class GroebnerBasis:
     reduction_steps: int
     completed_size: int = 0
     pairs_pruned: int = 0
-    cofactors: tuple[tuple[OpPoly, ...], ...] | None = None
+    cofactors: tuple[Element, ...] | None = None
 
     def __len__(self):
         return len(self.elements)
@@ -112,47 +112,6 @@ class GroebnerBasis:
 
     def leading_terms(self) -> list[Term]:
         return [g.leading_term(self.order)[0] for g in self.elements]
-
-
-# -- cofactor bookkeeping ----------------------------------------------------
-
-
-def _unit_cof(n: int, i: int, m: int) -> tuple[OpPoly, ...]:
-    zero = (0,) * m
-    return tuple({zero: Fraction(1)} if j == i else {} for j in range(n))
-
-
-def _cof_scale(cof: tuple[OpPoly, ...], c: Coeff) -> tuple[OpPoly, ...]:
-    return tuple({e: c * x for e, x in p.items()} for p in cof)
-
-
-def _cof_shift_scale(cof, lam: tuple, c: Coeff) -> tuple[OpPoly, ...]:
-    out = []
-    for p in cof:
-        out.append({tuple(a + b for a, b in zip(e, lam)): c * x for e, x in p.items()})
-    return tuple(out)
-
-
-def _cof_sub(a: tuple[OpPoly, ...], b: tuple[OpPoly, ...]) -> tuple[OpPoly, ...]:
-    out = []
-    for pa, pb in zip(a, b):
-        merged = dict(pa)
-        for e, x in pb.items():
-            s = merged.get(e, Fraction(0)) - x
-            if s:
-                merged[e] = s
-            else:
-                merged.pop(e, None)
-        out.append(merged)
-    return tuple(out)
-
-
-def apply_operator_poly(p: OpPoly, f: Element) -> Element:
-    """Apply an operator polynomial to a module element."""
-    acc = Element()
-    for exps, c in p.items():
-        acc = acc + apply_monomial(exps, f).scaled(c)
-    return acc
 
 
 class _Tracked:
@@ -181,7 +140,7 @@ def _s_poly(a: _Tracked, b: _Tracked):
     s = apply_monomial(u1, a.elem).scaled(inv1) - apply_monomial(u2, b.elem).scaled(inv2)
     cof = None
     if a.cof is not None:
-        cof = _cof_sub(_cof_shift_scale(a.cof, u1, inv1), _cof_shift_scale(b.cof, u2, inv2))
+        cof = apply_monomial(u1, a.cof).scaled(inv1) - apply_monomial(u2, b.cof).scaled(inv2)
     return s, cof
 
 
@@ -212,7 +171,7 @@ def _reduce(f: Element, cof, basis: list[_Tracked], order: TermOrder, full: bool
         factor = c * inverse(g.lc)
         r = r - apply_monomial(lam, g.elem).scaled(factor)
         if cof is not None:
-            cof = _cof_sub(cof, _cof_shift_scale(g.cof, lam, factor))
+            cof = cof - apply_monomial(lam, g.cof).scaled(factor)
         if chain is not None:
             chain.append(i)
         steps += 1
@@ -230,18 +189,19 @@ def buchberger(
     """Complete ``generators`` to a Groebner basis, then autoreduce.
 
     Deterministic: pairs are processed in (lcm total degree, insertion index)
-    order and zero input relations are dropped.  Elements are kept
+    order and zero input relations are skipped.  Elements are kept
     unnormalized during the loop and made monic only at the end.  Without a
     ``trace`` the chain criterion skips redundant pairs; with one, every
     pair is reduced and reported.
     """
     show = render if render is not None else repr
-    inputs = [g for g in generators if g]
-    m = len(inputs[0].leading_term(order)[0].exps) if inputs else 0
     basis: list[_Tracked] = []
-    for i, g in enumerate(inputs):
-        cof = _unit_cof(len(inputs), i, m) if track_cofactors else None
-        basis.append(_Tracked(g, order, cof))
+    for i, g in enumerate(generators):
+        if g:
+            entry = _Tracked(g, order)
+            if track_cofactors:
+                entry.cof = Element({Term(i, (0,) * len(entry.lt.exps)): 1})
+            basis.append(entry)
 
     heap: list[tuple[int, int, int, int]] = []
     formed = 0
@@ -324,7 +284,7 @@ def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder):
         if not any(divides(h.lt, g.lt) for h in kept):
             kept.append(g)
 
-    reduced: list[tuple[Element, tuple[OpPoly, ...] | None, Term]] = []
+    reduced: list[tuple[Element, Element | None, Term]] = []
     for idx, g in enumerate(kept):
         others = kept[:idx] + kept[idx + 1 :]
         # Tail reduction: the head is irreducible modulo the others, so full
@@ -334,7 +294,7 @@ def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder):
         inv = inverse(lc)
         elem = elem.scaled(inv)
         if cof is not None:
-            cof = _cof_scale(cof, inv)
+            cof = cof.scaled(inv)
         reduced.append((elem, cof, lt))
 
     reduced.sort(key=lambda item: (item[2].gen, order.key(item[2])))

@@ -44,12 +44,9 @@ def embed_element(f: Element, m: int) -> Element:
 def project_element(f: Element, m: int) -> Element:
     """Inverse translation N^2m -> Z^m; colliding terms have coefficients
     summed, so the pairing relations project to zero."""
-    acc: dict[Term, object] = {}
-    for t, c in f.terms.items():
-        exps = tuple(t.exps[i] - t.exps[m + i] for i in range(m))
-        key = Term(t.gen, exps)
-        acc[key] = acc.get(key, Fraction(0)) + c
-    return Element(acc)
+    return Element.from_pairs(
+        (c, tuple(t.exps[i] - t.exps[m + i] for i in range(m)), t.gen) for t, c in f.terms.items()
+    )
 
 
 def saturation_relations(m: int, q: int) -> list[Element]:

@@ -109,7 +109,7 @@ def compute_strength(
     stair = staircase_from_basis(
         gb.elements, order, q=working.num_unknowns, n=working.num_operators
     )
-    dim = dimension_polynomial(stair, kind=kind, m=m)
+    dim = dimension_polynomial(stair, kind=kind)
     validation = validate_polynomial(dim, stair, window=validate_window)
     return ReportDocument(
         system_name=system_name,

@@ -6,16 +6,21 @@ operator on a unit grid: forward s-1, backward 1-s^-1, central (s-s^-1)/2.
 A power of a derivation maps to the same power of that image.  The one
 exception is the rule ``central2``: it is ``central`` except that the square
 maps to the order-2 central stencil s-2+s^-1 of a second derivative.
+
+Stencils are multiplied as one-generator :class:`Element`s, by
+:func:`~dimpoly.freemodule.combine`, the same arithmetic that expands
+Groebner cofactors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from .coefficients import Coeff
-from .freemodule import Element, Presentation, Term
+from .freemodule import Element, Presentation, Term, combine
 
 __all__ = [
     "RULES",
@@ -42,18 +47,6 @@ RULES: dict[str, Stencil] = {
 _CENTRAL2_SQUARE: Stencil = {1: Fraction(1), 0: Fraction(-2), -1: Fraction(1)}
 
 
-def _stencil_mul(a: Stencil, b: Stencil) -> Stencil:
-    out: Stencil = {}
-    for i, ca in a.items():
-        for j, cb in b.items():
-            s = out.get(i + j, Fraction(0)) + ca * cb
-            if s:
-                out[i + j] = s
-            else:
-                out.pop(i + j, None)
-    return out
-
-
 @dataclass(frozen=True)
 class SchemeSpec:
     """The rule (a key of `RULES`) applied to each operator."""
@@ -75,16 +68,25 @@ class SchemeSpec:
 
 def stencil_image(rule: str, k: int) -> Stencil:
     """Image of the k-th power of one derivation under a rule."""
+    return {t.exps[0]: c for t, c in _stencil(rule, k, 0, 1).terms.items()}
+
+
+@lru_cache(maxsize=256)
+def _stencil(rule: str, k: int, i: int, m: int) -> Element:
+    """Image of the k-th power of derivation i of m under a rule, as a
+    one-generator element over the m translation operators."""
     if k < 0:
         raise ValueError("derivation powers are nonnegative")
-    if k == 0:
-        return {0: Fraction(1)}
+
+    def lift(stencil: Stencil) -> Element:
+        return Element({Term(0, (0,) * i + (s,) + (0,) * (m - i - 1)): c for s, c in stencil.items()})
+
     if rule == "central2" and k == 2:
-        return dict(_CENTRAL2_SQUARE)
-    base = RULES[rule]
-    out = dict(base)
-    for _ in range(k - 1):
-        out = _stencil_mul(out, base)
+        return lift(_CENTRAL2_SQUARE)
+    base = lift(RULES[rule])
+    out = lift({0: Fraction(1)})
+    for _ in range(k):
+        out = combine(base, [out])
     return out
 
 
@@ -99,31 +101,15 @@ def discretize(p: Presentation, spec: SchemeSpec) -> Presentation:
     m = p.num_operators
     new_relations = []
     for rel in p.relations:
-        acc: dict[Term, Coeff] = {}
+        image = Element()
         for t, c in rel.terms.items():
-            # product of the per-operator stencils, as a Laurent monomial sum
-            expansion: dict[tuple[int, ...], Coeff] = {(): Fraction(1)}
-            for i in range(m):
-                op = p.operators[i]
-                image = stencil_image(spec.rules[op], t.exps[i])
-                grown: dict[tuple[int, ...], Coeff] = {}
-                for prefix, cp in expansion.items():
-                    for shift, cs in image.items():
-                        key = prefix + (shift,)
-                        s = grown.get(key, Fraction(0)) + cp * cs
-                        if s:
-                            grown[key] = s
-                        else:
-                            grown.pop(key, None)
-                expansion = grown
-            for exps, cs in expansion.items():
-                key = Term(t.gen, exps)
-                s = acc.get(key, Fraction(0)) + c * cs
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        new_relations.append(Element(acc))
+            # the product of the per-operator stencils, applied to c * e_gen
+            term = Element({Term(t.gen, (0,) * m): c})
+            for i, k in enumerate(t.exps):
+                if k:
+                    term = combine(_stencil(spec.rules[p.operators[i]], k, i, m), [term])
+            image = image + term
+        new_relations.append(image)
     return Presentation(
         kind="inversive",
         operators=p.operators,

@@ -121,6 +121,21 @@ class TestCompare:
         assert code == 0
         assert out.strip() == "symmetric is stronger"
 
+    @pytest.mark.parametrize("standard", ["2*t+", "1/t"])
+    def test_bad_polynomial_exits_1(self, capsys, tmp_path, standard):
+        code, out, _ = run(capsys, "compute", "--builtin", "diffusion", "--json")
+        good = tmp_path / "good.json"
+        good.write_text(out)
+        data = json.loads(out)
+        data["polynomial"]["standard"] = standard
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        for pair in ((good, bad), (bad, good)):
+            code, out, err = run(capsys, "compare", *map(str, pair))
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ")
+
 
 class TestOracleCheck:
     def test_heat_at_r4(self, capsys):

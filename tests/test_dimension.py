@@ -354,6 +354,15 @@ class TestPolyStrings:
             )
             assert parse_poly(poly_str(p)) == p
 
+    def test_coefficient_grammar(self):
+        assert parse_poly("(t+1)^2 - 1/2*t") == parse_poly("t^2+3/2*t+1")
+        assert parse_poly(" 2 * t ") == parse_poly("2*t")
+
+    @pytest.mark.parametrize("text", ["1/t", "t/(t+1)", "2*t+", "2t", "", "s"])
+    def test_rejects(self, text):
+        with pytest.raises(ValueError):
+            parse_poly(text)
+
     def test_interpolation_recovers(self):
         p = parse_poly("15*t^3-7/2*t^2+43/2*t+2")
         points = [(r, p(r)) for r in range(4, 9)]

@@ -12,9 +12,9 @@ from dimpoly import (
     Term,
     TermOrder,
     apply_monomial,
-    apply_operator_poly,
     autoreduce,
     buchberger,
+    combine,
     divides,
     is_groebner_basis,
     normal_form,
@@ -162,10 +162,16 @@ class TestBuchberger:
         gb = buchberger(inputs, SIGMA_ORDER, track_cofactors=True)
         assert gb.cofactors is not None
         for g, cof in zip(gb.elements, gb.cofactors):
-            acc = Element()
-            for op_poly, f in zip(cof, inputs):
-                acc = acc + apply_operator_poly(op_poly, f)
-            assert acc == g
+            assert combine(cof, inputs) == g
+
+    def test_cofactors_number_inputs_by_position(self):
+        # zero inputs keep their place in the numbering of the cofactors
+        inputs = [Element(), FORWARD_INPUTS[0], Element(), *FORWARD_INPUTS[1:]]
+        gb = buchberger(inputs, SIGMA_ORDER, track_cofactors=True)
+        assert gb.elements == buchberger(FORWARD_INPUTS, SIGMA_ORDER).elements
+        for g, cof in zip(gb.elements, gb.cofactors):
+            assert combine(cof, inputs) == g
+            assert {t.gen for t in cof.terms} <= {1, 3, 4}
 
     def test_trace_emitted(self):
         lines = []
@@ -432,10 +438,7 @@ class TestLinearAlgebraOracle:
                 continue
             gb = buchberger(inputs, order, track_cofactors=True)
             for g, cof in zip(gb.elements, gb.cofactors):
-                acc = Element()
-                for op_poly, f in zip(cof, inputs):
-                    acc = acc + apply_operator_poly(op_poly, f)
-                assert acc == g
+                assert combine(cof, inputs) == g
 
 
 # -- property tests over rank-2 modules ----------------------------------------
@@ -460,10 +463,7 @@ def test_rank_two_completion_properties(inputs, f):
         assert not any(divides(lt, t) for lt in lts)
     assert autoreduce(elements, DIFF_ORDER) == elements
     for g, cof in zip(elements, gb.cofactors):
-        acc = Element()
-        for op_poly, h in zip(cof, inputs):
-            acc = acc + apply_operator_poly(op_poly, h)
-        assert acc == g
+        assert combine(cof, inputs) == g
     # the chain criterion changes which pairs are reduced; on this domain it
     # also leaves pairs formed and completed size as they are, which is not a
     # theorem (see test_pruning_may_change_the_completed_set).  A traced run
