@@ -54,7 +54,6 @@ def _build_parser() -> _Parser:
     compute = sub.add_parser("compute", help="compute a dimension polynomial report")
     add_system_args(compute)
     compute.add_argument("--json", action="store_true", help="emit the JSON report")
-    compute.add_argument("--validate-window", type=int, default=5, metavar="N")
     compute.add_argument(
         "--trace", action="store_true", help="log every pair of the unpruned completion to stderr"
     )
@@ -124,7 +123,7 @@ def _compute(args, **options):
 
 def _cmd_compute(args) -> int:
     trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
-    doc = _compute(args, validate_window=args.validate_window, trace=trace)
+    doc = _compute(args, trace=trace)
     if args.json:
         sys.stdout.write(report_to_json(doc))
     else:

@@ -81,7 +81,6 @@ def compute_strength(
     scheme: SchemeSpec | None = None,
     scheme_name: str | None = None,
     order_names: tuple[str, ...] | None = None,
-    validate_window: int = 5,
     trace: Callable[[str], None] | None = None,
 ) -> ReportDocument:
     """Run the full pipeline on a presentation."""
@@ -110,7 +109,7 @@ def compute_strength(
         gb.elements, order, q=working.num_unknowns, n=working.num_operators
     )
     dim = dimension_polynomial(stair, kind=kind)
-    validation = validate_polynomial(dim, stair, window=validate_window)
+    validation = validate_polynomial(dim, stair)
     return ReportDocument(
         system_name=system_name,
         presentation=original,

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import dimpoly.dimension
 import dimpoly.groebner
 from dimpoly.cli import main
 
@@ -42,6 +43,14 @@ class TestCompute:
         assert out.rstrip().endswith("phi(t) = 2*t+1")
         assert "system: heat" in out
 
+    def test_order_beyond_int16(self, capsys, tmp_path):
+        path = tmp_path / "shift.sys"
+        path.write_text("kind difference\noperators x\nunknowns u\nrelation x^40000*u - u\n")
+        code, out, _ = run(capsys, "compute", str(path))
+        assert code == 0
+        assert "[39999, 40004] and interpolation: ok" in out
+        assert out.rstrip().endswith("psi(t) = 40000")
+
     def test_per_operator_rules_match_preset(self, capsys):
         code, out1, _ = run(
             capsys, "compute", "--builtin", "diffusion", "--rule", "x=central2", "--rule", "t=forward", "--json"
@@ -61,10 +70,10 @@ class TestCompute:
 
     def test_validation_failure_exits_2(self, capsys, monkeypatch):
         import dimpoly.pipeline as pipeline
-        from dimpoly.dimension import PolyQ, ValidationRecord
+        from dimpoly.dimension import ValidationRecord
 
-        def fake_validate(report, stair, window=5):
-            return ValidationRecord((0, window), False, (0, 0, "1"), False, PolyQ())
+        def fake_validate(report, stair):
+            return ValidationRecord((0, 5), False, (0, 0, "1"))
 
         monkeypatch.setattr(pipeline, "validate_polynomial", fake_validate)
         code, out, _ = run(capsys, "compute", "--builtin", "diffusion")
@@ -144,19 +153,29 @@ class TestOracleCheck:
         assert "oracle count at r=4: 9" in out
         assert "polynomial value at r=4: 9" in out
 
+    def test_order_beyond_int16(self, capsys, tmp_path):
+        path = tmp_path / "shift.sys"
+        path.write_text("kind difference\noperators x\nunknowns u\nrelation x^3*u - u\n")
+        code, out, _ = run(capsys, "oracle-check", str(path), "--r", "40000")
+        assert code == 0
+        assert "oracle count at r=40000: 3" in out
+
     def test_below_threshold_notes(self, capsys):
         code, out, _ = run(
             capsys, "oracle-check", "--builtin", "diffusion", "--scheme", "forward", "--r", "0"
         )
         assert code == 0  # r below the validity threshold never fails the check
 
-    def test_oracle_budget_exits_3(self, capsys):
+    def test_oracle_budget_exits_3(self, capsys, monkeypatch):
         # C(100002, 2) ~ 5e9 rows: refused before the grid is built
         code, _, err = run(capsys, "oracle-check", "--builtin", "diffusion", "--r", "100000")
         assert code == 3
         assert "limit" in err
-        code, _, _ = run(capsys, "compute", "--builtin", "diffusion", "--validate-window", "100000")
+        # validating diffusion enumerates C(7, 2) = 21 rows
+        monkeypatch.setattr(dimpoly.dimension, "MAX_ORACLE_ROWS", 20)
+        code, out, err = run(capsys, "compute", "--builtin", "diffusion")
         assert code == 3
+        assert not out and "limit of 20" in err
 
     def test_completion_budget_exits_4(self, capsys, monkeypatch):
         # maxwell forward forms 230 pairs

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -95,6 +96,15 @@ class TestOracle:
             free_term_counts(stair, 30)
         assert free_term_counts(stair, 2) == [1, 9, 45]
 
+    def test_orders_beyond_int16(self):
+        # one operator: the row budget admits orders far above 2^15
+        stair = Staircase.build([[(37000,)], [(50000,)], []], 1)
+        counts = free_term_counts(stair, 40000)
+        assert counts[-1] == free_term_count_oracle(stair, 40000) == 37000 + 2 * 40001
+        assert counts[36999] == free_term_count_oracle(stair, 36999)
+        # int16 grid, vectors beyond its order
+        assert free_term_counts(stair, 5) == [3 * (r + 1) for r in range(6)]
+
 
 class TestDimensionPolynomial:
     def test_heat(self):
@@ -182,10 +192,10 @@ def inclusion_exclusion(stair):
 
 
 @st.composite
-def staircases(draw):
-    n = draw(st.integers(1, 4))
+def staircases(draw, max_n=4, max_vectors=8):
+    n = draw(st.integers(1, max_n))
     vector = st.tuples(*[st.integers(0, 3)] * n)
-    gens = draw(st.lists(st.lists(vector, max_size=8), min_size=1, max_size=2))
+    gens = draw(st.lists(st.lists(vector, max_size=max_vectors), min_size=1, max_size=2))
     return Staircase.build(gens, n)
 
 
@@ -314,15 +324,16 @@ class TestCompareStrength:
 class TestValidation:
     def test_heat_window(self):
         report = dimension_polynomial(HEAT_STAIRCASE, kind="differential")
-        record = validate_polynomial(report, HEAT_STAIRCASE, window=5)
+        record = validate_polynomial(report, HEAT_STAIRCASE)
         assert record.ok and record.checked_range == (0, 5)
-        assert record.interpolated == report.polynomial
+        counts = free_term_counts(HEAT_STAIRCASE, 2)
+        assert lagrange_interpolate(list(enumerate(counts))) == report.polynomial
 
     def test_zero_staircase(self):
         stair = Staircase.build([[(0, 0)]], 2)
         report = dimension_polynomial(stair, kind="difference")
         assert not report.polynomial
-        record = validate_polynomial(report, stair, window=5)
+        record = validate_polynomial(report, stair)
         assert record.ok
 
     def test_mismatch_reported(self):
@@ -338,11 +349,39 @@ class TestValidation:
             kind=report.kind,
             m=report.m,
         )
-        record = validate_polynomial(tampered, HEAT_STAIRCASE, window=3)
+        record = validate_polynomial(tampered, HEAT_STAIRCASE)
         assert not record.ok
         assert record.first_mismatch is not None
         r, count, value = record.first_mismatch
         assert r == 0 and count == 1 and value == "2"
+
+
+def legacy_validation_ok(report, stair):
+    """The two-part check: p against the counts on [r0, r0+5], and the
+    interpolant of the counts at r0..r0+n against p coefficient-exactly."""
+    r0, n, p = report.validity_threshold, stair.n, report.polynomial
+    counts = free_term_counts(stair, r0 + max(5, n))
+    pointwise = all(p(r) == counts[r] for r in range(r0, r0 + 6))
+    interpolated = lagrange_interpolate([(r, counts[r]) for r in range(r0, r0 + n + 1)])
+    return pointwise and interpolated == p
+
+
+class TestSingleCheck:
+    @given(staircases(max_n=3, max_vectors=4))
+    def test_equals_interpolation_check(self, stair):
+        report = dimension_polynomial(stair, kind="difference")
+        r0, n, p = report.validity_threshold, stair.n, report.polynomial
+        vanishing = PolyQ((1,))
+        for r in range(r0, r0 + max(5, n) + 1):
+            vanishing = vanishing * PolyQ((-r, 1))
+        for q in (p, p + PolyQ((1,)), p + vanishing):
+            tampered = dataclasses.replace(report, polynomial=q)
+            record = validate_polynomial(tampered, stair)
+            assert record.ok == legacy_validation_ok(tampered, stair)
+            assert record.ok == (q == p)
+        # the degree bound alone rejects a polynomial that meets every count
+        high = validate_polynomial(dataclasses.replace(report, polynomial=p + vanishing), stair)
+        assert not high.ok and high.first_mismatch is None
 
 
 class TestPolyStrings:
