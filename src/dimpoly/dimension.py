@@ -404,18 +404,18 @@ def _exponents_up_to(n: int, r: int):
 
 
 def _grid_up_to(n: int, r: int) -> np.ndarray:
-    """All exponent vectors of sum <= r as an (N, n) integer array."""
-    dtype = np.int16 if r < 2**15 else np.int32  # the row budget keeps r < 2^31
+    """All exponent vectors of sum <= r as an (N, n) int32 array."""
     if n == 0:
-        return np.zeros((1, 0), dtype=dtype)
+        return np.zeros((1, 0), dtype=np.int32)
     prev = _grid_up_to(n - 1, r)
-    sums = prev.sum(axis=1, dtype=np.int64) if n > 1 else np.zeros(len(prev), dtype=np.int64)
-    blocks = []
-    for k in range(r + 1):
-        sub = prev[sums <= r - k]
-        col = np.full((len(sub), 1), k, dtype=dtype)
-        blocks.append(np.hstack([col, sub]))
-    return np.vstack(blocks)
+    sums = prev.sum(axis=1, dtype=np.int64)
+    grid = np.empty((math.comb(r + n, n), n), dtype=np.int32)
+    end = 0
+    for k in range(r + 1):  # block k: first exponent k, then the rows of prev of sum <= r - k
+        start, end = end, end + math.comb(r - k + n - 1, n - 1)
+        grid[start:end, 0] = k
+        np.compress(sums <= r - k, prev, axis=0, out=grid[start:end, 1:])
+    return grid
 
 
 def free_term_counts(stair: Staircase, r_max: int) -> list[int]:
@@ -436,15 +436,11 @@ def free_term_counts(stair: Staircase, r_max: int) -> list[int]:
     sums = grid.sum(axis=1, dtype=np.int64)
     per_sum = np.zeros(r_max + 1, dtype=np.int64)
     for antichain in stair.per_generator:
-        if antichain:
-            blocked = np.zeros(len(grid), dtype=bool)
-            for v in antichain:
-                if sum(v) <= r_max:  # a higher vector divides no term of the grid
-                    blocked |= (grid >= np.asarray(v, dtype=grid.dtype)).all(axis=1)
-            free_sums = sums[~blocked]
-        else:
-            free_sums = sums
-        per_sum += np.bincount(free_sums, minlength=r_max + 1)
+        blocked = np.zeros(len(grid), dtype=bool)
+        for v in antichain:
+            if sum(v) <= r_max:  # a higher vector divides no term of the grid
+                blocked |= (grid >= np.asarray(v, dtype=np.int32)).all(axis=1)
+        per_sum += np.bincount(sums[~blocked], minlength=r_max + 1)
     return [int(x) for x in np.cumsum(per_sum)]
 
 
@@ -464,7 +460,12 @@ def lagrange_interpolate(points: Sequence[tuple[int, int]]) -> PolyQ:
 
 @dataclass(frozen=True)
 class ValidationRecord:
-    """Result of checking a dimension polynomial against the counting oracle."""
+    """Result of checking a dimension polynomial against the counting oracle.
+
+    ``checked_range`` is the reported window (r0, r0+5); the check covers
+    [r0, r0 + max(5, n)] and deg p <= n, so ``first_mismatch`` may lie past
+    the window, and is None when only the degree bound fails.
+    """
 
     checked_range: tuple[int, int]
     ok: bool

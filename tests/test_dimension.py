@@ -102,7 +102,7 @@ class TestOracle:
         counts = free_term_counts(stair, 40000)
         assert counts[-1] == free_term_count_oracle(stair, 40000) == 37000 + 2 * 40001
         assert counts[36999] == free_term_count_oracle(stair, 36999)
-        # int16 grid, vectors beyond its order
+        # vectors beyond the grid's order divide none of its terms
         assert free_term_counts(stair, 5) == [3 * (r + 1) for r in range(6)]
 
 
@@ -354,6 +354,19 @@ class TestValidation:
         assert record.first_mismatch is not None
         r, count, value = record.first_mismatch
         assert r == 0 and count == 1 and value == "2"
+        # n = 6 > 5: p meets the counts on [r0, r0+5] and first differs at r0+6
+        stair = Staircase.build([[(1,) * 6]], 6)
+        report = dimension_polynomial(stair, kind="difference")
+        r0 = report.validity_threshold
+        bump = PolyQ((1,))
+        for r in range(r0, r0 + 6):
+            bump = bump * PolyQ((-r, 1))
+        tampered = dataclasses.replace(report, polynomial=report.polynomial + bump)
+        assert validate_polynomial(report, stair).ok
+        record = validate_polynomial(tampered, stair)
+        assert not record.ok and record.checked_range == (r0, r0 + 5)
+        r, count, value = record.first_mismatch
+        assert r == r0 + 6 and value == str(report.polynomial(r) + 720)
 
 
 def legacy_validation_ok(report, stair):
