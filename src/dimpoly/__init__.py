@@ -70,15 +70,6 @@ from .inversive import (
     sigma_operator_names,
 )
 from .pipeline import compare_reports, compute_strength, report_from_json, report_to_json, report_to_text
-from .schemes import (
-    SchemeSpec,
-    discretize,
-    forward_scheme,
-    named_scheme,
-    rule_spec,
-    stencil_image,
-    symmetric_scheme,
-    symmetric_space_forward_time,
-)
+from .schemes import SchemeSpec, discretize, named_scheme, rule_spec
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from functools import cache
 
 from .dsl import parse_system
 from .freemodule import Presentation
-from .schemes import SchemeSpec, named_scheme, symmetric_space_forward_time
+from .schemes import SchemeSpec, named_scheme
 
 __all__ = ["BUILTIN_NAMES", "builtin_scheme", "builtin_system"]
 
@@ -62,6 +62,9 @@ _SOURCES = {
 
 BUILTIN_NAMES = tuple(sorted(_SOURCES))
 
+# (built-in, scheme name) -> the preset that name stands for on that system
+_ALIASES = {("diffusion", "symmetric"): "symmetric-space-forward-time"}
+
 
 @cache
 def builtin_system(name: str) -> Presentation:
@@ -74,7 +77,4 @@ def builtin_system(name: str) -> Presentation:
 
 def builtin_scheme(name: str, scheme: str) -> SchemeSpec:
     """Resolve a scheme name for a built-in, honoring per-system aliases."""
-    p = builtin_system(name)
-    if name == "diffusion" and scheme == "symmetric":
-        return symmetric_space_forward_time(p.operators)
-    return named_scheme(scheme, p.operators)
+    return named_scheme(_ALIASES.get((name, scheme), scheme), builtin_system(name).operators)

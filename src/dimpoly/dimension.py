@@ -403,19 +403,24 @@ def _exponents_up_to(n: int, r: int):
             yield (k,) + rest
 
 
-def _grid_up_to(n: int, r: int) -> np.ndarray:
-    """All exponent vectors of sum <= r as an (N, n) int32 array."""
-    if n == 0:
-        return np.zeros((1, 0), dtype=np.int32)
-    prev = _grid_up_to(n - 1, r)
-    sums = prev.sum(axis=1, dtype=np.int64)
-    grid = np.empty((math.comb(r + n, n), n), dtype=np.int32)
-    end = 0
-    for k in range(r + 1):  # block k: first exponent k, then the rows of prev of sum <= r - k
-        start, end = end, end + math.comb(r - k + n - 1, n - 1)
-        grid[start:end, 0] = k
-        np.compress(sums <= r - k, prev, axis=0, out=grid[start:end, 1:])
-    return grid
+def _grid_up_to(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """All exponent vectors of sum <= r as an (N, n) int32 array, and their
+    sums.  Each level appends one column: a row of sum s repeats once for
+    every last exponent 0..r - s."""
+    grid = np.zeros((1, 0), dtype=np.int32)
+    sums = np.zeros(1, dtype=np.int32)
+    for width in range(1, n + 1):
+        reps = r + 1 - sums
+        last = np.arange(int(reps.sum()), dtype=np.int32)
+        last -= np.repeat(np.cumsum(reps, dtype=np.int32) - reps, reps)
+        wider = np.empty((len(last), width), dtype=np.int32)
+        for c in range(width - 1):  # column by column, so no grid-sized temporary
+            wider[:, c] = np.repeat(grid[:, c], reps)
+        wider[:, -1] = last
+        sums = np.repeat(sums, reps)
+        sums += last
+        grid = wider
+    return grid, sums
 
 
 def free_term_counts(stair: Staircase, r_max: int) -> list[int]:
@@ -432,8 +437,7 @@ def free_term_counts(stair: Staircase, r_max: int) -> list[int]:
             f"the counting oracle up to r={r_max} over {stair.n} operators needs "
             f"{rows} rows, more than the limit of {MAX_ORACLE_ROWS}"
         )
-    grid = _grid_up_to(stair.n, r_max)
-    sums = grid.sum(axis=1, dtype=np.int64)
+    grid, sums = _grid_up_to(stair.n, r_max)
     per_sum = np.zeros(r_max + 1, dtype=np.int64)
     for antichain in stair.per_generator:
         blocked = np.zeros(len(grid), dtype=bool)

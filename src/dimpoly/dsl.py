@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .coefficients import Coeff, RationalFunction, coeff_str, parameter_symbol
-from .freemodule import Element, Presentation, Term, TermOrder
+from .freemodule import KINDS, Element, Presentation, Term, TermOrder
 
 __all__ = [
     "DslError",
@@ -276,7 +276,7 @@ def parse_system(text: str) -> SystemDocument:
         if word == "kind":
             if kind is not None:
                 raise DslError("duplicate kind line", lineno, 1)
-            if rest not in ("differential", "difference", "inversive"):
+            if rest not in KINDS:
                 raise DslError(f"unknown kind {rest!r}", lineno, len("kind ") + 1)
             kind = rest
         elif word == "operators":

@@ -55,10 +55,6 @@ class ReportDocument:
     dim: DimPolyReport
     validation: ValidationRecord
 
-    @property
-    def label(self) -> str:
-        return self.scheme_name or self.system_name
-
 
 def resolve_order(p: Presentation, order_names: tuple[str, ...] | None) -> TermOrder:
     """Order layout: total degree, then generator, then the given operator
@@ -185,6 +181,11 @@ def report_to_text(doc: ReportDocument) -> str:
         f"validation: oracle agreement on r in [{v.checked_range[0]}, {v.checked_range[1]}]"
         f" and interpolation: {'ok' if v.ok else 'FAILED'}"
     )
+    if v.first_mismatch is not None:
+        r, count, value = v.first_mismatch
+        lines.append(f"  first mismatch at r={r}: oracle count {count}, p(r) = {value}")
+    elif not v.ok:
+        lines.append(f"  degree {doc.dim.degree} exceeds the operator count n = {doc.staircase.n}")
     name = "phi" if p.kind == "differential" and doc.scheme_description is None else "psi"
     lines.append(f"{name}(t) = {poly_str(doc.dim.polynomial)}")
     return "\n".join(lines) + "\n"

@@ -7,6 +7,10 @@ A power of a derivation maps to the same power of that image.  The one
 exception is the rule ``central2``: it is ``central`` except that the square
 maps to the order-2 central stencil s-2+s^-1 of a second derivative.
 
+A preset scheme is a named rule table: one rule for every space operator and
+one for the time operator, the last one declared.  Every scheme, preset or
+not, is built by :func:`rule_spec`.
+
 Stencils are multiplied as one-generator :class:`Element`s, by
 :func:`~dimpoly.freemodule.combine`, the same arithmetic that expands
 Groebner cofactors.
@@ -26,12 +30,8 @@ __all__ = [
     "RULES",
     "SchemeSpec",
     "discretize",
-    "forward_scheme",
     "named_scheme",
     "rule_spec",
-    "stencil_image",
-    "symmetric_scheme",
-    "symmetric_space_forward_time",
 ]
 
 # One-variable Laurent polynomial: shift exponent -> coefficient.
@@ -45,6 +45,13 @@ RULES: dict[str, Stencil] = {
 }
 
 _CENTRAL2_SQUARE: Stencil = {1: Fraction(1), 0: Fraction(-2), -1: Fraction(1)}
+
+# preset name -> (rule of every space operator, rule of the time operator)
+PRESETS: dict[str, tuple[str, str]] = {
+    "forward": ("forward", "forward"),
+    "symmetric": ("central", "central"),
+    "symmetric-space-forward-time": ("central2", "forward"),
+}
 
 
 @dataclass(frozen=True)
@@ -66,17 +73,10 @@ class SchemeSpec:
         )
 
 
-def stencil_image(rule: str, k: int) -> Stencil:
-    """Image of the k-th power of one derivation under a rule."""
-    return {t.exps[0]: c for t, c in _stencil(rule, k, 0, 1).terms.items()}
-
-
 @lru_cache(maxsize=256)
 def _stencil(rule: str, k: int, i: int, m: int) -> Element:
     """Image of the k-th power of derivation i of m under a rule, as a
     one-generator element over the m translation operators."""
-    if k < 0:
-        raise ValueError("derivation powers are nonnegative")
 
     def lift(stencil: Stencil) -> Element:
         return Element({Term(0, (0,) * i + (s,) + (0,) * (m - i - 1)): c for s, c in stencil.items()})
@@ -119,37 +119,13 @@ def discretize(p: Presentation, spec: SchemeSpec) -> Presentation:
     )
 
 
-def forward_scheme(operators: tuple[str, ...]) -> SchemeSpec:
-    return SchemeSpec(rules={op: "forward" for op in operators})
-
-
-def symmetric_scheme(operators: tuple[str, ...]) -> SchemeSpec:
-    """All-central substitution (monomial-wise powers of (s-s^-1)/2)."""
-    return SchemeSpec(rules={op: "central" for op in operators})
-
-
-def symmetric_space_forward_time(operators: tuple[str, ...]) -> SchemeSpec:
-    """Order-2 central stencil in every space operator, forward in time; the
-    last declared operator is taken as time."""
-    if not operators:
-        raise ValueError("need at least one operator")
-    rules = {op: "central2" for op in operators[:-1]}
-    rules[operators[-1]] = "forward"
-    return SchemeSpec(rules=rules)
-
-
-_PRESETS = {
-    "forward": forward_scheme,
-    "symmetric": symmetric_scheme,
-    "symmetric-space-forward-time": symmetric_space_forward_time,
-}
-
-
 def named_scheme(name: str, operators: tuple[str, ...]) -> SchemeSpec:
-    """Resolve a preset scheme name."""
-    if name not in _PRESETS:
-        raise ValueError(f"unknown scheme {name!r}; presets: {sorted(_PRESETS)}")
-    return _PRESETS[name](operators)
+    """Resolve a preset scheme name over the given operators."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown scheme {name!r}; presets: {sorted(PRESETS)}")
+    space, time = PRESETS[name]
+    rules = [space] * (len(operators) - 1) + [time]
+    return rule_spec(dict(zip(operators, rules)), operators)
 
 
 def rule_spec(assignments: Mapping[str, str], operators: tuple[str, ...]) -> SchemeSpec:

@@ -72,13 +72,19 @@ class TestCompute:
         import dimpoly.pipeline as pipeline
         from dimpoly.dimension import ValidationRecord
 
-        def fake_validate(report, stair):
-            return ValidationRecord((0, 5), False, (0, 0, "1"))
-
-        monkeypatch.setattr(pipeline, "validate_polynomial", fake_validate)
+        for record, detail in [
+            (ValidationRecord((0, 5), False, (3, 7, "8")), "  first mismatch at r=3: oracle count 7, p(r) = 8\n"),
+            (ValidationRecord((0, 5), False, None), "  degree 1 exceeds the operator count n = 2\n"),
+        ]:
+            monkeypatch.setattr(pipeline, "validate_polynomial", lambda report, stair, record=record: record)
+            code, out, _ = run(capsys, "compute", "--builtin", "diffusion")
+            assert code == 2
+            assert "FAILED\n" + detail in out
+        # a passing run prints no such line
+        monkeypatch.undo()
         code, out, _ = run(capsys, "compute", "--builtin", "diffusion")
-        assert code == 2
-        assert "FAILED" in out
+        assert code == 0
+        assert "mismatch" not in out and "exceeds" not in out
 
 
 class TestErrors:

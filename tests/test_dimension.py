@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,14 @@ class TestOracle:
         # vectors beyond the grid's order divide none of its terms
         assert free_term_counts(stair, 5) == [3 * (r + 1) for r in range(6)]
 
+    def test_one_operator_grid_is_linear_in_r(self):
+        # the row budget admits r up to 9,999,999 on one operator; building
+        # the grid with a Python loop per order took 15 s on a 2-CPU Xeon
+        start = time.perf_counter()
+        counts = free_term_counts(Staircase.build([[(3,)]], 1), 2_000_000)
+        assert counts[-1] == 3 and counts[:4] == [1, 2, 3, 3]
+        assert time.perf_counter() - start < 5
+
 
 class TestDimensionPolynomial:
     def test_heat(self):
@@ -197,6 +206,13 @@ def staircases(draw, max_n=4, max_vectors=8):
     vector = st.tuples(*[st.integers(0, 3)] * n)
     gens = draw(st.lists(st.lists(vector, max_size=max_vectors), min_size=1, max_size=2))
     return Staircase.build(gens, n)
+
+
+class TestOracleTable:
+    @given(staircases(), st.integers(0, 8))
+    def test_equals_single_counts(self, stair, r_max):
+        counts = free_term_counts(stair, r_max)
+        assert counts == [free_term_count_oracle(stair, r) for r in range(r_max + 1)]
 
 
 class TestHilbertNumerator:

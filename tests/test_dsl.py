@@ -88,6 +88,11 @@ class TestParse:
         with pytest.raises(DslError):
             parse_system("kind differential\nwhatever x\n")
 
+    def test_unknown_kind(self):
+        with pytest.raises(DslError) as err:
+            parse_system(DIFFUSION_SRC.replace("kind differential", "kind wave"))
+        assert str(err.value) == "line 1, column 6: unknown kind 'wave'"
+
     def test_duplicate_names(self):
         with pytest.raises(DslError):
             parse_system("kind differential\noperators x x\nunknowns u\nrelation x*u\n")

@@ -9,20 +9,24 @@ from dimpoly import (
     Presentation,
     SchemeSpec,
     Term,
+    builtin_scheme,
     builtin_system,
     discretize,
-    forward_scheme,
     named_scheme,
     rule_spec,
-    stencil_image,
-    symmetric_scheme,
-    symmetric_space_forward_time,
 )
 
 from conftest import A, el0
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
+
+
+def stencil_image(rule: str, k: int) -> dict[int, Fraction]:
+    """The image of x^k*u under one rule, as shift exponent -> coefficient."""
+    p = Presentation(kind="differential", operators=("x",), unknowns=("u",), relations=(el0((1, (k,))),))
+    (image,) = discretize(p, rule_spec({"x": rule}, ("x",))).relations
+    return {t.exps[0]: c for t, c in image.terms.items()}
 
 
 class TestStencilImage:
@@ -41,10 +45,6 @@ class TestStencilImage:
     def test_backward(self):
         assert stencil_image("backward", 1) == {0: 1, -1: -1}
 
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            stencil_image("forward", -1)
-
 
 def heat() -> Presentation:
     return builtin_system("diffusion")
@@ -52,26 +52,26 @@ def heat() -> Presentation:
 
 class TestDiscretize:
     def test_heat_forward(self):
-        got = discretize(heat(), forward_scheme(("x", "t")))
+        got = discretize(heat(), named_scheme("forward", ("x", "t")))
         assert got.kind == "inversive"
         want = el0((1, (0, 1)), (-A, (2, 0)), (2 * A, (1, 0)), (-(1 + A), (0, 0)))
         assert got.relations == (want,)
 
     def test_heat_space_symmetric(self):
-        got = discretize(heat(), symmetric_space_forward_time(("x", "t")))
+        got = discretize(heat(), named_scheme("symmetric-space-forward-time", ("x", "t")))
         want = el0((1, (0, 1)), (-A, (1, 0)), (-A, (-1, 0)), (2 * A - 1, (0, 0)))
         assert got.relations == (want,)
 
     def test_constant_relation_unchanged(self):
         rel = el0((5, (0, 0)))
         p = Presentation(kind="differential", operators=("x", "t"), unknowns=("u",), relations=(rel,))
-        got = discretize(p, forward_scheme(("x", "t")))
+        got = discretize(p, named_scheme("forward", ("x", "t")))
         assert got.relations == (rel,)
 
     def test_requires_differential(self):
         p = Presentation(kind="difference", operators=("x",), unknowns=("u",), relations=())
         with pytest.raises(ValueError):
-            discretize(p, forward_scheme(("x",)))
+            discretize(p, named_scheme("forward", ("x",)))
 
     def test_missing_rule(self):
         with pytest.raises(ValueError):
@@ -81,7 +81,7 @@ class TestDiscretize:
         # independent route: d^k -> sum_j (-1)^(k-j) C(k,j) s^j, per operator
         for name in ("diffusion", "maxwell", "potential"):
             p = builtin_system(name)
-            got = discretize(p, forward_scheme(p.operators))
+            got = discretize(p, named_scheme("forward", p.operators))
             for rel, drel in zip(p.relations, got.relations):
                 acc: dict[Term, object] = {}
                 for t, c in rel.terms.items():
@@ -101,7 +101,7 @@ class TestDiscretize:
 
     def test_linearity(self):
         rng = random.Random(12)
-        spec = symmetric_scheme(("x", "t"))
+        spec = named_scheme("symmetric", ("x", "t"))
 
         def rand_rel():
             return Element.from_pairs(
@@ -128,8 +128,30 @@ class TestSpecs:
         assert named_scheme("symmetric", ("x", "t")).rules == {"x": "central", "t": "central"}
         mixed = named_scheme("symmetric-space-forward-time", ("x", "y", "t"))
         assert mixed.rules == {"x": "central2", "y": "central2", "t": "forward"}
-        with pytest.raises(ValueError):
+        # the last declared operator is time, also when it is the only one
+        assert named_scheme("symmetric-space-forward-time", ("t",)).rules == {"t": "forward"}
+        for preset in ("forward", "symmetric", "symmetric-space-forward-time"):
+            assert named_scheme(preset, ()).rules == {}
+        with pytest.raises(ValueError, match="unknown scheme 'upwind'"):
             named_scheme("upwind", ("x",))
+        want = {
+            ("diffusion", "forward"): "x=forward t=forward",
+            ("diffusion", "symmetric"): "x=central+k2 t=forward",
+            ("diffusion", "symmetric-space-forward-time"): "x=central+k2 t=forward",
+            ("maxwell", "forward"): "x=forward y=forward z=forward t=forward",
+            ("maxwell", "symmetric"): "x=central y=central z=central t=central",
+            ("maxwell", "symmetric-space-forward-time"): "x=central+k2 y=central+k2 z=central+k2 t=forward",
+            ("potential", "forward"): "x1=forward x2=forward x3=forward x4=forward",
+            ("potential", "symmetric"): "x1=central x2=central x3=central x4=central",
+            ("potential", "symmetric-space-forward-time"): "x1=central+k2 x2=central+k2 x3=central+k2 x4=forward",
+        }
+        for (name, preset), described in want.items():
+            assert builtin_scheme(name, preset).describe() == described
+        # an unknown built-in is reported before the scheme name is looked at
+        with pytest.raises(KeyError):
+            builtin_scheme("wave", "upwind")
+        with pytest.raises(ValueError):
+            builtin_scheme("maxwell", "upwind")
 
     def test_rule_spec(self):
         spec = rule_spec({"x": "central2", "t": "forward"}, ("x", "t"))
