@@ -3,13 +3,17 @@
 Given the per-generator antichain of leading-term exponent vectors of an
 autoreduced Groebner basis, each antichain spans a monomial ideal whose
 Hilbert series has an integer numerator K(t), computed by Bigatti's pivot
-recursion.  Writing the summed numerators as sum_j k_j t^j, the number of free
-terms of order <= r is sum_j k_j C(r - j + n, n): expanding the binomials
-gives the exact dimension polynomial, valid from the sharp threshold
-max(deg K - n, 0).  A brute-force lattice enumeration serves as the
-independent counting oracle.  Validation requires degree <= n and agreement
-with one table of oracle counts on n+1 or more orders from the threshold, which
-makes the polynomial the exact interpolant of those counts.
+recursion.  Writing the summed numerators about t = 1 as
+K(t) = sum_i h_i (1 - t)^i, the number of free terms of order <= r is
+sum_{i <= n} h_i C(r + n - i, n - i) from the sharp threshold
+max(deg K - n, 0) on.  So the polynomial's coefficients in the binomial basis
+C(t + d, d) are the integers c_d = h_{n-d}, read off K with integer
+arithmetic; the standard polynomial over Q and the invariants (degree,
+typical dimension, module dimension) all follow from them.  A brute-force
+lattice enumeration serves as the independent counting oracle.  Validation
+requires degree <= n and agreement with one table of oracle counts on n+1 or
+more orders from the threshold, which makes the polynomial the exact
+interpolant of those counts.
 """
 
 from __future__ import annotations
@@ -138,11 +142,11 @@ def parse_poly(text: str) -> PolyQ:
 
 
 @lru_cache(maxsize=None)
-def binomial_poly(n: int, shift: int = 0) -> PolyQ:
-    """The binomial C(t + n - shift, n) expanded as a polynomial in t."""
+def binomial_poly(n: int) -> PolyQ:
+    """The binomial C(t + n, n) expanded as a polynomial in t."""
     p = PolyQ((1,))
     for j in range(n):
-        p = p * PolyQ((n - shift - j, 1))
+        p = p * PolyQ((n - j, 1))
     return p.scaled(Fraction(1, math.factorial(n)))
 
 
@@ -192,16 +196,16 @@ def staircase_from_basis(
 def dimension_polynomial(stair: Staircase, *, kind: str = "difference") -> "DimPolyReport":
     """Exact count of free terms, as a polynomial report.
 
-    The Hilbert numerators K_g(t) of the generators' monomial ideals sum to
-    K(t) = sum_j k_j t^j, and the free terms of order <= r number
-    sum_j k_j C(r - j + n, n).  Each binomial is a polynomial in r that is
-    exact for r >= j - n, so the polynomial holds from the validity threshold
-    max(deg K - n, 0).  The threshold is sharp: when it is positive, the
-    polynomial is off by (-1)^n k_deg(K) at the order just below it.
+    With K(t) = sum_j k_j t^j the summed Hilbert numerators, the
+    binomial-basis coefficients are c_d = h_{n-d}, where
+    h_i = (-1)^i sum_j k_j C(j, i) is the coefficient of (1 - t)^i in K.
+    The polynomial holds from the validity threshold max(deg K - n, 0), and
+    the threshold is sharp: when it is positive, the polynomial is off by
+    (-1)^n k_deg(K) at the order just below it.
 
     The module dimension is read at degree m, the number of operators of
-    the presentation: n // 2 for an inversive staircase (which lives in the
-    doubled ring) and n otherwise.
+    the presentation: c_m / 2^m for an inversive staircase (which lives in
+    the doubled ring of n = 2m operators) and c_n otherwise.
     """
     n = stair.n
     if kind == "inversive":
@@ -214,12 +218,31 @@ def dimension_polynomial(stair: Staircase, *, kind: str = "difference") -> "DimP
     numerator: tuple[int, ...] = ()
     for vectors in stair.per_generator:
         numerator = _add(numerator, _hilbert_numerator(vectors))
-    total = PolyQ()
-    for j, k in enumerate(numerator):
-        if k:
-            total = total + binomial_poly(n, j).scaled(k)
-    r0 = max(len(numerator) - 1 - n, 0)
-    return _build_report(total, stair, kind, m, r0)
+    coeffs = [
+        (-1) ** (n - d) * sum(k * math.comb(j, n - d) for j, k in enumerate(numerator))
+        for d in range(n + 1)
+    ]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    polynomial = expand_binomial_basis(coeffs)
+    degree = max(len(coeffs) - 1, 0)
+    delta_dimension = coeffs[m] if len(coeffs) == m + 1 else 0
+    if kind == "inversive":
+        delta_dimension, remainder = divmod(delta_dimension, 2**m)
+        if remainder:
+            raise ValueError(
+                f"inversive leading coefficient {polynomial.leading_coefficient()} is not "
+                f"of the form 2^{m}*a/{m}!"
+            )
+    return DimPolyReport(
+        polynomial=polynomial,
+        binomial_coeffs=tuple(coeffs),
+        degree=degree,
+        delta_type=degree,
+        typical_dimension=coeffs[-1] if coeffs else 0,
+        delta_dimension=delta_dimension,
+        validity_threshold=max(len(numerator) - 1 - n, 0),
+    )
 
 
 def _hilbert_numerator(antichain: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
@@ -266,38 +289,6 @@ class DimPolyReport:
     typical_dimension: int
     delta_dimension: int
     validity_threshold: int
-    kind: str
-    m: int
-
-
-def _build_report(p: PolyQ, stair: Staircase, kind: str, m: int, r0: int) -> DimPolyReport:
-    coeffs = to_binomial_basis(p)
-    d = max(p.degree, 0)
-    typical = coeffs[d] if coeffs else 0
-    if kind == "inversive":
-        if p.degree == m:
-            raw = p.leading_coefficient() * math.factorial(m) / (2**m)
-            if raw.denominator != 1:
-                raise ValueError(
-                    f"inversive leading coefficient {p.leading_coefficient()} is not "
-                    f"of the form 2^{m}*a/{m}!"
-                )
-            delta_dim = int(raw)
-        else:
-            delta_dim = 0
-    else:
-        delta_dim = coeffs[m] if p.degree == m else 0
-    return DimPolyReport(
-        polynomial=p,
-        binomial_coeffs=coeffs,
-        degree=d,
-        delta_type=d,
-        typical_dimension=typical,
-        delta_dimension=delta_dim,
-        validity_threshold=r0,
-        kind=kind,
-        m=m,
-    )
 
 
 def to_binomial_basis(p: PolyQ) -> tuple[int, ...]:
@@ -354,13 +345,11 @@ def free_module_polynomial(s: int, m: int, kind: str) -> PolyQ:
     if s < 0 or m < 0:
         raise ValueError("rank and operator count must be nonnegative")
     if kind in ("differential", "difference"):
-        return binomial_poly(m).scaled(s)
+        return expand_binomial_basis([0] * m + [s])
     if kind == "inversive":
-        total = PolyQ()
-        for k in range(m + 1):
-            c = Fraction((-1) ** (m - k) * 2**k * math.comb(m, k))
-            total = total + binomial_poly(k).scaled(c)
-        return total.scaled(s)
+        return expand_binomial_basis(
+            [s * (-1) ** (m - k) * 2**k * math.comb(m, k) for k in range(m + 1)]
+        )
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -445,7 +434,7 @@ def free_term_counts(stair: Staircase, r_max: int) -> list[int]:
             if sum(v) <= r_max:  # a higher vector divides no term of the grid
                 blocked |= (grid >= np.asarray(v, dtype=np.int32)).all(axis=1)
         per_sum += np.bincount(sums[~blocked], minlength=r_max + 1)
-    return [int(x) for x in np.cumsum(per_sum)]
+    return np.cumsum(per_sum).tolist()
 
 
 def lagrange_interpolate(points: Sequence[tuple[int, int]]) -> PolyQ:

@@ -192,9 +192,19 @@ def report_to_text(doc: ReportDocument) -> str:
 
 
 def report_from_json(text: str) -> dict:
-    """Load a JSON report, re-parsing the polynomial exactly."""
+    """Load a JSON report, re-parsing the polynomial exactly.  A ValueError
+    "not a dimpoly report: ..." names a missing or mistyped field."""
     data = json.loads(text)
-    data["_polynomial"] = parse_poly(data["polynomial"]["standard"])
+    if not isinstance(data, dict):
+        raise ValueError("not a dimpoly report: expected a JSON object")
+    polynomial, system = data.get("polynomial"), data.get("system")
+    if not isinstance(polynomial, dict) or not isinstance(polynomial.get("standard"), str):
+        raise ValueError("not a dimpoly report: polynomial.standard must be a string")
+    label = data.get("scheme") or (system.get("name") if isinstance(system, dict) else None)
+    if not isinstance(label, str) or not label:
+        raise ValueError("not a dimpoly report: scheme or system.name must give a label")
+    data["_polynomial"] = parse_poly(polynomial["standard"])
+    data["_label"] = label
     return data
 
 
@@ -212,20 +222,17 @@ class ComparisonVerdict:
 
 
 def compare_reports(left: dict, right: dict) -> ComparisonVerdict:
-    """Verdict naming the stronger (eventually smaller) of two reports."""
-
-    def label(data: dict) -> str:
-        return data.get("scheme") or data["system"]["name"]
-
+    """Verdict naming the stronger (eventually smaller) of two reports, as
+    loaded by :func:`report_from_json`."""
     rel = compare_strength(left["_polynomial"], right["_polynomial"])
     stronger = None
     if rel == "stronger":
-        stronger = label(left)
+        stronger = left["_label"]
     elif rel == "weaker":
-        stronger = label(right)
+        stronger = right["_label"]
     return ComparisonVerdict(
         relation=rel,
         stronger_label=stronger,
-        left_label=label(left),
-        right_label=label(right),
+        left_label=left["_label"],
+        right_label=right["_label"],
     )

@@ -136,20 +136,47 @@ class TestCompare:
         assert code == 0
         assert out.strip() == "symmetric is stronger"
 
-    @pytest.mark.parametrize("standard", ["2*t+", "1/t"])
-    def test_bad_polynomial_exits_1(self, capsys, tmp_path, standard):
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            pytest.param(lambda data: _with_standard(data, "2*t+"), "unexpected", id="2*t+"),
+            pytest.param(lambda data: _with_standard(data, "1/t"), "not a polynomial", id="1/t"),
+            pytest.param(lambda data: [], "not a dimpoly report: ", id="list"),
+            pytest.param(
+                lambda data: {"polynomial": "x"},
+                "not a dimpoly report: polynomial.standard",
+                id="polynomial-string",
+            ),
+            pytest.param(
+                lambda data: {"polynomial": {"standard": 5}},
+                "not a dimpoly report: polynomial.standard",
+                id="standard-number",
+            ),
+            pytest.param(
+                lambda data: {"polynomial": data["polynomial"], "scheme": None},
+                "not a dimpoly report: scheme or system.name",
+                id="no-label",
+            ),
+        ],
+    )
+    def test_bad_polynomial_exits_1(self, capsys, tmp_path, tamper, message):
         code, out, _ = run(capsys, "compute", "--builtin", "diffusion", "--json")
         good = tmp_path / "good.json"
         good.write_text(out)
-        data = json.loads(out)
-        data["polynomial"]["standard"] = standard
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(data))
+        bad.write_text(json.dumps(tamper(json.loads(out))))
         for pair in ((good, bad), (bad, good)):
             code, out, err = run(capsys, "compare", *map(str, pair))
             assert code == 1
             assert out == ""
             assert err.startswith("error: ")
+            assert message in err
+            assert "Traceback" not in err
+
+
+def _with_standard(data, standard):
+    data["polynomial"]["standard"] = standard
+    return data
 
 
 class TestOracleCheck:
