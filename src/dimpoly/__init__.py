@@ -27,17 +27,14 @@ from .dimension import (
     PolyQ,
     Staircase,
     ValidationRecord,
-    binomial_poly,
     compare_strength,
     dimension_polynomial,
     expand_binomial_basis,
     free_module_polynomial,
-    free_term_count_oracle,
     free_term_counts,
     poly_str,
     parse_poly,
     staircase_from_basis,
-    to_binomial_basis,
     validate_polynomial,
 )
 from .dsl import DslError, parse_coefficient, parse_system, render_element, render_system
@@ -55,17 +52,13 @@ from .freemodule import (
 from .groebner import (
     MAX_PAIRS_FORMED,
     CompletionBudgetExceeded,
-    autoreduce,
     buchberger,
     is_groebner_basis,
     normal_form,
-    reduce_element,
-    s_polynomial,
 )
 from .inversive import (
     embed_element,
     embed_presentation,
-    project_element,
     saturation_relations,
     sigma_operator_names,
 )

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .builtin_systems import BUILTIN_NAMES, builtin_scheme, builtin_system
 from .dimension import OracleBudgetExceeded, free_term_counts
-from .dsl import DslError, parse_system
+from .dsl import parse_system
 from .groebner import CompletionBudgetExceeded
 from .pipeline import (
     compare_reports,
@@ -77,9 +77,7 @@ def _load_system(args):
         return args.builtin, builtin_system(args.builtin)
     if not args.file:
         raise ValueError("no input: give a file or --builtin")
-    text = Path(args.file).read_text()
-    doc = parse_system(text)
-    return Path(args.file).stem, doc.presentation
+    return Path(args.file).stem, parse_system(Path(args.file).read_text()).presentation
 
 
 def _resolve_scheme(args, presentation):
@@ -124,17 +122,14 @@ def _compute(args, **options):
 def _cmd_compute(args) -> int:
     trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
     doc = _compute(args, trace=trace)
-    if args.json:
-        sys.stdout.write(report_to_json(doc))
-    else:
-        sys.stdout.write(report_to_text(doc))
+    sys.stdout.write((report_to_json if args.json else report_to_text)(doc))
     return 0 if doc.validation.ok else 2
 
 
 def _cmd_compare(args) -> int:
     left = report_from_json(Path(args.left).read_text())
     right = report_from_json(Path(args.right).read_text())
-    print(compare_reports(left, right).describe())
+    print(compare_reports(left, right))
     return 0
 
 
@@ -175,11 +170,8 @@ def main(argv=None) -> int:
     except CompletionBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DslError, ValueError, KeyError, OSError) as exc:
-        if isinstance(exc, OSError):
-            message = str(exc)
-        else:
-            message = exc.args[0] if exc.args else str(exc)
+    except (ValueError, KeyError, OSError) as exc:  # DslError is a ValueError
+        message = exc.args[0] if exc.args and not isinstance(exc, OSError) else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 1
     return 1

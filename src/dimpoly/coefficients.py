@@ -44,7 +44,7 @@ All values are immutable and safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 __all__ = [
     "Coeff",
@@ -56,6 +56,7 @@ __all__ = [
     "evaluate",
     "inverse",
     "parameter_symbol",
+    "signed_sum",
 ]
 
 
@@ -145,27 +146,34 @@ def _eval(a: _Poly, x: Fraction) -> Fraction:
     return acc
 
 
+def signed_sum(parts: Iterable[tuple[bool, str]], sep: str = "") -> str:
+    """Join (negative, body) pairs into a signed sum: tight ``5*t-1``, or
+    spaced ``a - b`` with ``sep=" "``; "0" for no parts."""
+    pieces = []
+    for negative, body in parts:
+        if pieces:
+            pieces.append(sep + ("-" if negative else "+") + sep)
+        elif negative:
+            pieces.append("-")
+        pieces.append(body)
+    return "".join(pieces) or "0"
+
+
 def _poly_str(a: _Poly, name: str) -> str:
     """Render a univariate polynomial, descending powers, explicit '*'."""
-    if not a:
-        return "0"
     parts = []
     for k in range(len(a) - 1, -1, -1):
         c = a[k]
         if c == 0:
             continue
-        sign = "-" if c < 0 else "+"
         mag = abs(c)
         if k == 0:
             body = str(mag)
         else:
             var = name if k == 1 else f"{name}^{k}"
             body = var if mag == 1 else f"{mag}*{var}"
-        parts.append((sign, body))
-    text = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-    for sign, body in parts[1:]:
-        text += sign + body
-    return text
+        parts.append((c < 0, body))
+    return signed_sum(parts)
 
 
 def _n_terms(a: _Poly) -> int:

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .coefficients import _add, _eval, _mul, _neg, _poly_str
+from .coefficients import _add, _eval, _mul, _neg, _poly_str, signed_sum
 from .dsl import parse_coefficient
 from .freemodule import Element, TermOrder
 
@@ -186,8 +186,6 @@ def staircase_from_basis(
     """Group leading-term exponent vectors by generator, minimized."""
     by_gen: list[list[tuple[int, ...]]] = [[] for _ in range(q)]
     for g in basis:
-        if not g:
-            continue
         t, _ = g.leading_term(order)
         by_gen[t.gen].append(t.exps)
     return Staircase.build(by_gen, n)
@@ -225,7 +223,6 @@ def dimension_polynomial(stair: Staircase, *, kind: str = "difference") -> "DimP
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     polynomial = expand_binomial_basis(coeffs)
-    degree = max(len(coeffs) - 1, 0)
     delta_dimension = coeffs[m] if len(coeffs) == m + 1 else 0
     if kind == "inversive":
         delta_dimension, remainder = divmod(delta_dimension, 2**m)
@@ -237,8 +234,7 @@ def dimension_polynomial(stair: Staircase, *, kind: str = "difference") -> "DimP
     return DimPolyReport(
         polynomial=polynomial,
         binomial_coeffs=tuple(coeffs),
-        degree=degree,
-        delta_type=degree,
+        degree=max(len(coeffs) - 1, 0),
         typical_dimension=coeffs[-1] if coeffs else 0,
         delta_dimension=delta_dimension,
         validity_threshold=max(len(numerator) - 1 - n, 0),
@@ -285,7 +281,6 @@ class DimPolyReport:
     polynomial: PolyQ
     binomial_coeffs: tuple[int, ...]
     degree: int
-    delta_type: int
     typical_dimension: int
     delta_dimension: int
     validity_threshold: int
@@ -320,19 +315,10 @@ def expand_binomial_basis(coeffs: Sequence[int]) -> PolyQ:
 
 def binomial_str(coeffs: Sequence[int]) -> str:
     """Render sum c_i*C(t+i,i), highest index first."""
-    parts = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if not c:
-            continue
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, f"{abs(c)}*C(t+{i},{i})"))
-    if not parts:
-        return "0"
-    text = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    return signed_sum(
+        ((c < 0, f"{abs(c)}*C(t+{i},{i})") for i, c in reversed(list(enumerate(coeffs))) if c),
+        " ",
+    )
 
 
 def free_module_polynomial(s: int, m: int, kind: str) -> PolyQ:

@@ -13,7 +13,10 @@ A system document looks like::
 normalized to ``lhs - rhs``.  Coefficient literals are integers, fractions
 ``p/q`` and parenthesized +,-,*,/ expressions over the single declared
 parameter with nonnegative integer ``^``.  Operator exponents may be negative
-only when the kind is ``inversive``.
+only when the kind is ``inversive``.  Parentheses nest at most
+``MAX_NESTING`` deep, coefficient powers are at most ``MAX_EXPONENT`` and
+operator exponents at most ``MAX_OPERATOR_EXPONENT`` in absolute value;
+input beyond a limit is a :class:`DslError`.
 """
 
 from __future__ import annotations
@@ -23,11 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .coefficients import Coeff, RationalFunction, coeff_str, parameter_symbol
+from .coefficients import Coeff, RationalFunction, coeff_str, parameter_symbol, signed_sum
 from .freemodule import KINDS, Element, Presentation, Term, TermOrder
 
 __all__ = [
     "DslError",
+    "MAX_EXPONENT",
+    "MAX_NESTING",
+    "MAX_OPERATOR_EXPONENT",
     "SystemDocument",
     "parse_coefficient",
     "parse_system",
@@ -35,6 +41,10 @@ __all__ = [
     "render_system",
     "render_term",
 ]
+
+MAX_NESTING = 100  # parentheses; each level is a few frames of recursive descent
+MAX_EXPONENT = 100  # coefficient powers: a^k costs degree-k arithmetic in every later step
+MAX_OPERATOR_EXPONENT = 100_000  # the Hilbert numerator is as long as the largest one
 
 
 class DslError(ValueError):
@@ -189,6 +199,8 @@ class _ExprParser:
         if tok.kind == "INT":
             base: Coeff = Fraction(int(tok.text))
         elif tok.kind == "SYM" and tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise DslError(f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.col)
             self.depth += 1
             base = self.parse_sum(module=False)
             self.expect_sym(")")
@@ -238,6 +250,10 @@ class _ExprParser:
         value = sign * int(num.text)
         if not signed and value < 0:
             raise DslError("coefficient powers must be nonnegative", num.line, num.col)
+        what = "operator exponent" if signed else "coefficient power"
+        limit = MAX_OPERATOR_EXPONENT if signed else MAX_EXPONENT
+        if abs(value) > limit:
+            raise DslError(f"{what} {value} exceeds the limit of {limit}", num.line, num.col)
         return value
 
 
@@ -282,10 +298,8 @@ def parse_system(text: str) -> SystemDocument:
         elif word == "operators":
             operators += _name_list(rest, lineno, "operator")
         elif word == "parameter":
-            if parameter is not None:
-                raise DslError("a system may declare at most one parameter", lineno, 1)
             names = _name_list(rest, lineno, "parameter")
-            if len(names) != 1:
+            if parameter is not None or len(names) != 1:
                 raise DslError("a system may declare at most one parameter", lineno, 1)
             parameter = names[0]
         elif word == "unknowns":
@@ -354,13 +368,6 @@ def render_term(p: Presentation, t: Term) -> str:
     return "*".join(pieces)
 
 
-def _coeff_sign_abs(c: Coeff) -> tuple[int, Coeff]:
-    if isinstance(c, RationalFunction):
-        lead = c.num[-1]
-        return (1, c) if lead > 0 else (-1, -c)
-    return (1, c) if c >= 0 else (-1, -c)
-
-
 def _coeff_prefix(c: Coeff) -> str:
     if c == 1:
         return ""
@@ -371,19 +378,14 @@ def _coeff_prefix(c: Coeff) -> str:
 
 
 def render_element(p: Presentation, f: Element, order: TermOrder | None = None) -> str:
-    if not f:
-        return "0"
     if order is None:
         order = p.default_order()
     parts = []
     for t, c in f.sorted_terms(order):
-        sign, mag = _coeff_sign_abs(c)
-        parts.append((sign, _coeff_prefix(mag) + render_term(p, t)))
-    sign, body = parts[0]
-    text = body if sign > 0 else "-" + body
-    for sign, body in parts[1:]:
-        text += (" + " if sign > 0 else " - ") + body
-    return text
+        # a rational function takes the sign of its leading numerator coefficient
+        negative = (c.num[-1] if isinstance(c, RationalFunction) else c) < 0
+        parts.append((negative, _coeff_prefix(-c if negative else c) + render_term(p, t)))
+    return signed_sum(parts, " ")
 
 
 def render_system(p: Presentation) -> str:

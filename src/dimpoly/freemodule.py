@@ -28,10 +28,13 @@ __all__ = [
     "combine",
     "divides",
     "quotient",
+    "shared",
     "term_order",
 ]
 
 KINDS = ("differential", "difference", "inversive")
+# The immutable terms and coefficients results share (see shared); emptied past 2^16.
+_canonical: dict = {}
 
 
 class Term(NamedTuple):
@@ -199,6 +202,17 @@ def combine(cof: Element, gens: Sequence[Element]) -> Element:
         for s, x in apply_monomial(t.exps, gens[t.gen]).terms.items():
             acc[s] = acc[s] + c * x if s in acc else c * x
     return _raw({s: x for s, x in acc.items() if x})
+
+
+def shared(elements: Iterable[Element], known: Iterable[Element] = ()) -> list[Element]:
+    """The elements with equal terms and equal coefficients held as one
+    object each, and those equal to one of ``known`` replaced by it: a kept
+    result would otherwise carry a copy of each per occurrence."""
+    if len(_canonical) > 1 << 16:
+        _canonical.clear()
+    same, pool = {f: f for f in known}, _canonical.setdefault
+    new = lambda f: _raw({pool(t, t): pool((type(c), c), c) for t, c in f.terms.items()})
+    return [same.get(f) or same.setdefault(f, new(f)) for f in elements]
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,9 @@ generator has a leading term dividing lcm(lt_i, lt_j) and the pairs (i, k)
 and (k, j) were popped before it, whether they were reduced or skipped.  Its
 S-polynomial then has a representation below that lcm through theirs, so
 skipping it keeps the result a Groebner basis.  With a ``trace``
-(``--trace``) every pair is reduced, so the trace replays the unpruned
-completion that published reduction chains follow.  ``pairs_processed``
-counts pairs formed, whether reduced or skipped; at most
+(``--trace``) every pair is reduced and reported to it as data, so the trace
+replays the unpruned completion that published reduction chains follow.
+``pairs_processed`` counts pairs formed, whether reduced or skipped; at most
 ``MAX_PAIRS_FORMED`` are formed before :class:`CompletionBudgetExceeded` is
 raised.
 """
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .coefficients import Coeff, inverse
-from .freemodule import Element, Term, TermOrder, apply_monomial, divides, quotient
+from .freemodule import Element, Term, TermOrder, apply_monomial, divides, quotient, shared
 
 __all__ = [
     "CompletionBudgetExceeded",
@@ -183,8 +183,7 @@ def buchberger(
     order: TermOrder,
     *,
     track_cofactors: bool = False,
-    trace: Callable[[str], None] | None = None,
-    render: Callable[[Element], str] | None = None,
+    trace: Callable[[int, int, Element, list[int] | None, int | None], None] | None = None,
 ) -> GroebnerBasis:
     """Complete ``generators`` to a Groebner basis, then autoreduce.
 
@@ -192,9 +191,11 @@ def buchberger(
     order and zero input relations are skipped.  Elements are kept
     unnormalized during the loop and made monic only at the end.  Without a
     ``trace`` the chain criterion skips redundant pairs; with one, every
-    pair is reduced and reported.
+    pair is reduced and reported as ``trace(i, j, s, chain, added)``: the
+    0-based pair, its S-polynomial, the basis indices of the divisors used
+    (None when S = 0), and the index the remainder is added at (None when it
+    reduced to 0).  The call comes before the remainder is added.
     """
-    show = render if render is not None else repr
     basis: list[_Tracked] = []
     for i, g in enumerate(generators):
         if g:
@@ -233,15 +234,13 @@ def buchberger(
         s, cof = _s_poly(basis[i], basis[j])
         if not s:
             if trace:
-                trace(f"pair ({i + 1},{j + 1}): S = 0")
+                trace(i, j, s, None, None)
             continue
         chain: list[int] | None = [] if trace else None
         r, cof, steps = _reduce(s, cof, basis, order, full=False, chain=chain)
         reduction_steps += steps
         if trace:
-            via = ", ".join(f"g{k + 1}" for k in chain) or "-"
-            tail = f"added g{len(basis) + 1}" if r else "reduced to 0"
-            trace(f"pair ({i + 1},{j + 1}): S = {show(s)}; via [{via}]; {tail}")
+            trace(i, j, s, chain, len(basis) if r else None)
         if r:
             basis.append(_Tracked(r, order, cof))
             push_pairs(len(basis) - 1)
@@ -298,9 +297,8 @@ def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder):
         reduced.append((elem, cof, lt))
 
     reduced.sort(key=lambda item: (item[2].gen, order.key(item[2])))
-    elements = [item[0] for item in reduced]
-    cofactors = [item[1] for item in reduced]
-    return elements, cofactors
+    elements = shared((item[0] for item in reduced), known=(w.elem for w in basis))
+    return elements, [item[1] for item in reduced]
 
 
 def autoreduce(basis: Sequence[Element], order: TermOrder) -> list[Element]:

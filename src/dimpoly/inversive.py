@@ -12,8 +12,9 @@ generating set before any Groebner computation.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
-from .freemodule import Element, Presentation, Term
+from .freemodule import Element, Presentation, Term, shared
 
 __all__ = [
     "embed_element",
@@ -31,9 +32,7 @@ def sigma_operator_names(operators: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _split(exps: tuple[int, ...]) -> tuple[int, ...]:
-    pos = tuple(max(k, 0) for k in exps)
-    neg = tuple(max(-k, 0) for k in exps)
-    return pos + neg
+    return tuple(max(k, 0) for k in exps) + tuple(max(-k, 0) for k in exps)
 
 
 def embed_element(f: Element, m: int) -> Element:
@@ -50,17 +49,16 @@ def project_element(f: Element, m: int) -> Element:
 
 
 def saturation_relations(m: int, q: int) -> list[Element]:
-    """The relations a_i b_i e_j - e_j for 1 <= i <= m, 1 <= j <= q."""
-    out = []
-    for i in range(m):
-        exps = [0] * (2 * m)
-        exps[i] = 1
-        exps[m + i] = 1
-        exps = tuple(exps)
-        zero = (0,) * (2 * m)
-        for j in range(q):
-            out.append(Element({Term(j, exps): Fraction(1), Term(j, zero): Fraction(-1)}))
-    return out
+    """The relations a_i b_i e_j - e_j for 1 <= i <= m, 1 <= j <= q, built
+    once per (m, q) so that every embedding of that shape shares them."""
+    return list(_saturation(m, q))
+
+
+@lru_cache(maxsize=64)
+def _saturation(m: int, q: int) -> tuple[Element, ...]:
+    zero, one = (0,) * (2 * m), Fraction(1)
+    pairing = [tuple(int(k in (i, m + i)) for k in range(2 * m)) for i in range(m)]
+    return tuple(Element({Term(j, e): one, Term(j, zero): -one}) for e in pairing for j in range(q))
 
 
 def embed_presentation(p: Presentation) -> Presentation:
@@ -69,7 +67,7 @@ def embed_presentation(p: Presentation) -> Presentation:
     if p.kind != "inversive":
         raise ValueError(f"cannot embed kind {p.kind!r}; expected inversive")
     m, q = p.num_operators, p.num_unknowns
-    relations = [embed_element(f, m) for f in p.relations if f]
+    relations = shared(embed_element(f, m) for f in p.relations if f)
     relations += saturation_relations(m, q)
     return Presentation(
         kind="difference",

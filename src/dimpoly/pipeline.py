@@ -15,6 +15,7 @@ from typing import Callable
 
 from .dimension import (
     DimPolyReport,
+    PolyQ,
     Staircase,
     ValidationRecord,
     binomial_str,
@@ -84,27 +85,22 @@ def compute_strength(
     if scheme is not None:
         p = discretize(p, scheme)
 
-    kind = p.kind
-    m = p.num_operators
-    if kind == "inversive":
+    working, order = p, resolve_order(p, order_names)
+    if p.kind == "inversive":
         working = embed_presentation(p)
-        base_order = resolve_order(p, order_names)
         # the doubled ring compares forward-block exponents first, in the
         # same operator sequence, then the inverse block
-        seq = base_order.sequence
-        order = TermOrder(tuple(seq) + tuple(m + i for i in seq))
-    else:
-        working = p
-        order = resolve_order(p, order_names)
+        seq = order.sequence
+        order = TermOrder(seq + tuple(p.num_operators + i for i in seq))
 
-    render = None
+    on_pair = None
     if trace is not None:
-        render = lambda f: render_element(working, f, order)
-    gb = buchberger(working.relations, order, trace=trace, render=render)
+        on_pair = lambda *pair: trace(_trace_line(working, order, *pair))
+    gb = buchberger(working.relations, order, trace=on_pair)
     stair = staircase_from_basis(
         gb.elements, order, q=working.num_unknowns, n=working.num_operators
     )
-    dim = dimension_polynomial(stair, kind=kind)
+    dim = dimension_polynomial(stair, kind=p.kind)
     validation = validate_polynomial(dim, stair)
     return ReportDocument(
         system_name=system_name,
@@ -117,6 +113,16 @@ def compute_strength(
         dim=dim,
         validation=validation,
     )
+
+
+def _trace_line(working: Presentation, order: TermOrder, i, j, s, chain, added) -> str:
+    """One ``--trace`` line for a pair as :func:`buchberger` reports it,
+    numbering pairs and basis elements from 1 as the published chains do."""
+    if chain is None:
+        return f"pair ({i + 1},{j + 1}): S = 0"
+    via = ", ".join(f"g{k + 1}" for k in chain) or "-"
+    tail = "reduced to 0" if added is None else f"added g{added + 1}"
+    return f"pair ({i + 1},{j + 1}): S = {render_element(working, s, order)}; via [{via}]; {tail}"
 
 
 def report_to_json(doc: ReportDocument) -> str:
@@ -139,7 +145,7 @@ def report_to_json(doc: ReportDocument) -> str:
             "standard": poly_str(doc.dim.polynomial),
             "binomial": binomial_str(doc.dim.binomial_coeffs),
             "degree": str(doc.dim.degree),
-            "delta_type": str(doc.dim.delta_type),
+            "delta_type": str(doc.dim.degree),
             "typical_dimension": str(doc.dim.typical_dimension),
             "delta_dimension": str(doc.dim.delta_dimension),
             "validity_threshold": str(doc.dim.validity_threshold),
@@ -191,10 +197,13 @@ def report_to_text(doc: ReportDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_from_json(text: str) -> dict:
-    """Load a JSON report, re-parsing the polynomial exactly.  A ValueError
-    "not a dimpoly report: ..." names a missing or mistyped field."""
-    data = json.loads(text)
+def report_from_json(text: str) -> tuple[str, PolyQ]:
+    """The label and the exactly re-parsed polynomial of a JSON report.  A
+    ValueError "not a dimpoly report: ..." names a missing or mistyped field."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("not a dimpoly report: nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("not a dimpoly report: expected a JSON object")
     polynomial, system = data.get("polynomial"), data.get("system")
@@ -203,36 +212,14 @@ def report_from_json(text: str) -> dict:
     label = data.get("scheme") or (system.get("name") if isinstance(system, dict) else None)
     if not isinstance(label, str) or not label:
         raise ValueError("not a dimpoly report: scheme or system.name must give a label")
-    data["_polynomial"] = parse_poly(polynomial["standard"])
-    data["_label"] = label
-    return data
+    return label, parse_poly(polynomial["standard"])
 
 
-@dataclass(frozen=True)
-class ComparisonVerdict:
-    relation: str  # stronger | weaker | equal
-    stronger_label: str | None
-    left_label: str
-    right_label: str
-
-    def describe(self) -> str:
-        if self.relation == "equal":
-            return f"{self.left_label} and {self.right_label} have equal strength"
-        return f"{self.stronger_label} is stronger"
-
-
-def compare_reports(left: dict, right: dict) -> ComparisonVerdict:
-    """Verdict naming the stronger (eventually smaller) of two reports, as
-    loaded by :func:`report_from_json`."""
-    rel = compare_strength(left["_polynomial"], right["_polynomial"])
-    stronger = None
-    if rel == "stronger":
-        stronger = left["_label"]
-    elif rel == "weaker":
-        stronger = right["_label"]
-    return ComparisonVerdict(
-        relation=rel,
-        stronger_label=stronger,
-        left_label=left["_label"],
-        right_label=right["_label"],
-    )
+def compare_reports(left: tuple[str, PolyQ], right: tuple[str, PolyQ]) -> str:
+    """Sentence naming the stronger (eventually smaller) of two reports, each
+    a (label, polynomial) pair from :func:`report_from_json`."""
+    (left_label, p), (right_label, q) = left, right
+    relation = compare_strength(p, q)
+    if relation == "equal":
+        return f"{left_label} and {right_label} have equal strength"
+    return f"{left_label if relation == 'stronger' else right_label} is stronger"

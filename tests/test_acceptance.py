@@ -27,15 +27,18 @@ from dimpoly import (
     compute_strength,
     dimension_polynomial,
     free_module_polynomial,
-    free_term_count_oracle,
     free_term_counts,
     is_groebner_basis,
     parse_poly,
-    to_binomial_basis,
 )
 from dimpoly.builtin_systems import builtin_scheme
 from dimpoly.cli import main as cli_main
-from dimpoly.dimension import Staircase, lagrange_interpolate
+from dimpoly.dimension import (
+    Staircase,
+    free_term_count_oracle,
+    lagrange_interpolate,
+    to_binomial_basis,
+)
 from dimpoly.freemodule import Presentation
 
 

@@ -61,6 +61,15 @@ class TestCompute:
         assert left["polynomial"] == right["polynomial"]
         assert left["scheme"] == "x=central2,t=forward"
 
+    def test_order_option(self, capsys):
+        code, out, _ = run(capsys, "compute", "--builtin", "diffusion", "--scheme", "forward", "--json")
+        default = json.loads(out)["polynomial"]
+        code, out, _ = run(
+            capsys, "compute", "--builtin", "diffusion", "--scheme", "forward", "--order", "t,x", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["polynomial"] == default
+
     def test_trace_goes_to_stderr(self, capsys):
         code, out, err = run(
             capsys, "compute", "--builtin", "diffusion", "--scheme", "forward", "--trace"
@@ -116,6 +125,30 @@ class TestErrors:
             capsys, "compute", "--builtin", "diffusion", "--scheme", "forward", "--rule", "x=central"
         )
         assert code == 1
+
+    def test_undeclared_order(self, capsys):
+        code, out, err = run(capsys, "compute", "--builtin", "diffusion", "--order", "t,q")
+        assert code == 1
+        assert err == "error: order references undeclared operators ['q']\n"
+
+    @pytest.mark.parametrize("case", ["json-arrays", "report-parentheses", "system-parentheses"])
+    def test_deep_nesting_exits_1(self, capsys, tmp_path, case):
+        code, out, _ = run(capsys, "compute", "--builtin", "diffusion", "--json")
+        good = tmp_path / "good.json"
+        good.write_text(out)
+        bad = tmp_path / "bad"
+        if case == "json-arrays":
+            bad.write_text("[" * 100_000 + "]" * 100_000)
+        elif case == "report-parentheses":
+            bad.write_text(json.dumps(_with_standard(json.loads(out), "(" * 3000 + "t" + ")" * 3000)))
+        else:
+            bad.write_text(DIFFUSION_SRC.replace("a * x^2", "(" * 3000 + "a" + ")" * 3000 + "*x^2"))
+        argv = ("compute", str(bad)) if case == "system-parentheses" else ("compare", str(bad), str(good))
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_parse_error_position(self, capsys, tmp_path):
         path = tmp_path / "bad.sys"

@@ -93,6 +93,23 @@ class TestParse:
             parse_system(DIFFUSION_SRC.replace("kind differential", "kind wave"))
         assert str(err.value) == "line 1, column 6: unknown kind 'wave'"
 
+    @pytest.mark.parametrize(
+        "src,message",
+        [
+            ("kind differential\nkind difference\n", "line 2, column 1: duplicate kind line"),
+            ("operators x\nunknowns u\n", "line 1, column 1: missing kind line"),
+            ("kind differential\nunknowns u\n", "line 1, column 1: missing operators line"),
+            ("kind differential\noperators x\n", "line 1, column 1: missing unknowns line"),
+            ("kind differential\noperators\n", "line 2, column 1: expected at least one operator name"),
+            ("kind differential\noperators x\nunknowns 2u\n", "line 3, column 1: invalid unknown name '2u'"),
+            ("kind differential\nparameter a b\n", "line 2, column 1: a system may declare at most one parameter"),
+        ],
+    )
+    def test_directive_error(self, src, message):
+        with pytest.raises(DslError) as err:
+            parse_system(src)
+        assert str(err.value) == message
+
     def test_duplicate_names(self):
         with pytest.raises(DslError):
             parse_system("kind differential\noperators x x\nunknowns u\nrelation x*u\n")
@@ -141,6 +158,14 @@ class TestExpressionTable:
             ("t*u +", "line 5, column 6: unexpected 'end of line'"),
             ("- - u", "line 5, column 3: unexpected '-'"),
             ("t*u = = u", "line 5, column 7: unexpected '='"),
+            ("x*u - a^1600*u", "line 5, column 9: coefficient power 1600 exceeds the limit of 100"),
+            ("(a+1)^101*u", "line 5, column 7: coefficient power 101 exceeds the limit of 100"),
+            ("x^1000000*u - t*u", "line 5, column 3: operator exponent 1000000 exceeds the limit of 100000"),
+            pytest.param(
+                "(" * 101 + "1" + ")" * 101 + "*u",
+                "line 5, column 101: parentheses nested deeper than 100",
+                id="nesting-101",
+            ),
         ],
     )
     def test_error(self, rel, message):
@@ -158,6 +183,8 @@ class TestExpressionTable:
             ("differential", "a^0*u", "u"),
             ("differential", "+t*u = x*u - u", "-x*u + t*u + u"),
             ("inversive", "x^-2*t*u", "x^-2*t*u"),
+            ("differential", "x^100000*u - a^100*v", "x^100000*u - a^100*v"),
+            pytest.param("differential", "(" * 100 + "2" + ")" * 100 + "*u", "2*u", id="nesting-100"),
         ],
     )
     def test_accepted(self, kind, rel, rendered):

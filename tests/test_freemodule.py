@@ -15,6 +15,7 @@ from dimpoly import (
     quotient,
     term_order,
 )
+from dimpoly.freemodule import shared
 
 from conftest import A, G1, el0
 
@@ -173,6 +174,29 @@ class TestAdmissibleOrderAxioms:
             ts, cs = apply_monomial(lam, f).leading_term(order)
             assert cs == c
             assert ts == Term(t.gen, tuple(a + b for a, b in zip(t.exps, lam)))
+
+
+class TestShared:
+    def test_equal_parts_become_one_object(self):
+        f = el0((A, (1, 0)), (Fraction(1, 2), (0, 1)))
+        g = el0((Fraction(1, 2), (1, 0)), (A, (0, 0)))
+        sf, sg = shared([f, g])
+        assert (sf, sg) == (f, g)
+        assert next(t for t in sf.terms if t.exps == (1, 0)) is next(t for t in sg.terms if t.exps == (1, 0))
+        assert sf.terms[Term(0, (0, 1))] is sg.terms[Term(0, (1, 0))]
+        assert sf.terms[Term(0, (1, 0))] is sg.terms[Term(0, (0, 0))]
+
+    def test_known_element_is_returned(self):
+        f = el0((1, (1, 0)), (-1, (0, 0)))
+        copy = el0((1, (1, 0)), (-1, (0, 0)))
+        other = el0((2, (0, 1)))
+        out = shared([copy, other, copy], known=[f])
+        assert out[0] is f and out[2] is f
+        assert out[1] == other and out[1] is not other
+
+    def test_coefficient_type_kept(self):
+        f = el0((Fraction(1), (1, 0)))
+        assert [type(c) for c in shared([f, G1])[1].terms.values()] == [type(c) for c in G1.terms.values()]
 
 
 class TestPresentation:

@@ -12,18 +12,16 @@ from dimpoly import (
     Term,
     TermOrder,
     apply_monomial,
-    autoreduce,
     buchberger,
     combine,
     divides,
     is_groebner_basis,
     normal_form,
-    reduce_element,
-    s_polynomial,
     staircase_from_basis,
-    free_term_count_oracle,
 )
 from dimpoly.builtin_systems import builtin_scheme, builtin_system
+from dimpoly.dimension import free_term_count_oracle
+from dimpoly.groebner import autoreduce, reduce_element, s_polynomial
 from dimpoly.pipeline import compute_strength
 
 from conftest import (
@@ -131,6 +129,16 @@ class TestBuchberger:
         }
         assert set(gb.elements) == published_monic
 
+    def test_result_shares_parts_with_inputs(self):
+        # G2 and G3 are monic and already reduced: the basis keeps them as is
+        gb = buchberger(FORWARD_INPUTS, SIGMA_ORDER)
+        kept = [g for g in gb.elements if any(g is f for f in FORWARD_INPUTS)]
+        assert kept == [g for g in gb.elements if g in FORWARD_INPUTS] and len(kept) >= 2
+        again = buchberger(FORWARD_INPUTS, SIGMA_ORDER)
+        assert again.elements == gb.elements
+        for f, g in zip(gb.elements, again.elements):
+            assert all(s is t for s, t in zip(f.terms, g.terms))
+
     def test_zero_inputs_dropped(self):
         gb1 = buchberger([G1, Element(), G2, G3], SIGMA_ORDER)
         gb2 = buchberger([G1, G2, G3], SIGMA_ORDER)
@@ -174,35 +182,36 @@ class TestBuchberger:
             assert {t.gen for t in cof.terms} <= {1, 3, 4}
 
     def test_trace_emitted(self):
-        lines = []
-        buchberger(FORWARD_INPUTS, SIGMA_ORDER, trace=lines.append)
-        assert lines and all(line.startswith("pair (") for line in lines)
-        assert any("added" in line for line in lines)
+        records = []
+        buchberger(FORWARD_INPUTS, SIGMA_ORDER, trace=lambda *pair: records.append(pair))
+        assert records and all(i < j for i, j, *_ in records)
+        assert any(added is not None for *_, added in records)
 
     def test_trace_reproduces_published_reduction_chains(self):
         # every worked pair of the diffusion forward completion, with the
-        # exact divisor sequence of its published reduction chain
-        lines = []
-        buchberger(FORWARD_INPUTS, SIGMA_ORDER, trace=lines.append)
-        chains = {line.split(":")[0].strip(): line for line in lines}
+        # exact divisor sequence of its published reduction chain (0-based:
+        # the literature's pair (1,3) is (0, 2) here) and the index of the
+        # element it added, None when it reduced to 0
+        records = []
+        buchberger(FORWARD_INPUTS, SIGMA_ORDER, trace=lambda *pair: records.append(pair))
+        chains = {(i, j): (chain, added) for i, j, _, chain, added in records}
         expected = {
-            "pair (1,2)": ("via [g2]", "added g4"),
-            "pair (1,3)": ("via [g3, g3, g1, g3]", "reduced to 0"),
-            "pair (1,4)": ("via [g1, g1, g2, g4, g2, g4]", "reduced to 0"),
-            "pair (2,3)": ("via [g2, g3]", "reduced to 0"),
-            "pair (2,4)": ("via [g1, g2]", "reduced to 0"),
-            "pair (3,4)": ("via [-]", "added g5"),
-            "pair (1,5)": ("via [g2, g2, g3]", "reduced to 0"),
-            "pair (2,5)": ("via [-]", "added g6"),
+            (0, 1): ([1], 3),
+            (0, 2): ([2, 2, 0, 2], None),
+            (0, 3): ([0, 0, 1, 3, 1, 3], None),
+            (1, 2): ([1, 2], None),
+            (1, 3): ([0, 1], None),
+            (2, 3): ([], 4),
+            (0, 4): ([1, 1, 2], None),
+            (1, 4): ([], 5),
         }
-        for pair, (chain, outcome) in expected.items():
-            line = chains[pair]
-            assert chain in line and outcome in line, line
+        for pair, outcome in expected.items():
+            assert chains[pair] == outcome, pair
 
 
 class TestPairPruning:
     def test_trace_replays_every_pair(self):
-        traced = buchberger(FORWARD_INPUTS, SIGMA_ORDER, trace=lambda _: None)
+        traced = buchberger(FORWARD_INPUTS, SIGMA_ORDER, trace=lambda *pair: None)
         pruned = buchberger(FORWARD_INPUTS, SIGMA_ORDER)
         assert traced.pairs_pruned == 0
         assert pruned.pairs_pruned > 0
@@ -220,7 +229,7 @@ class TestPairPruning:
             el0((-1, (0, 2)), (Fraction(-3, 2), (1, 2)), (-3, (2, 1))),
         ]
         pruned = buchberger(inputs, DIFF_ORDER)
-        replay = buchberger(inputs, DIFF_ORDER, trace=lambda _: None)
+        replay = buchberger(inputs, DIFF_ORDER, trace=lambda *pair: None)
         assert pruned.elements == replay.elements
         assert is_groebner_basis(list(pruned.elements), DIFF_ORDER)
         assert (pruned.completed_size, pruned.pairs_processed) == (8, 28)
@@ -468,11 +477,11 @@ def test_rank_two_completion_properties(inputs, f):
     # also leaves pairs formed and completed size as they are, which is not a
     # theorem (see test_pruning_may_change_the_completed_set).  A traced run
     # replays the unpruned completion and reports every pair.
-    lines = []
-    replay = buchberger(inputs, DIFF_ORDER, trace=lines.append)
+    records = []
+    replay = buchberger(inputs, DIFF_ORDER, trace=lambda *pair: records.append(pair))
     assert replay.pairs_pruned == 0
     assert gb.elements == replay.elements
     assert gb.completed_size == replay.completed_size
-    assert gb.pairs_processed == replay.pairs_processed == len(lines)
+    assert gb.pairs_processed == replay.pairs_processed == len(records)
     assert gb.reduction_steps <= replay.reduction_steps
     assert 0 <= gb.pairs_pruned <= gb.pairs_processed

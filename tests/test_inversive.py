@@ -9,11 +9,12 @@ from dimpoly import (
     Term,
     embed_element,
     embed_presentation,
-    project_element,
     saturation_relations,
     sigma_operator_names,
     term_order,
 )
+
+from dimpoly.inversive import project_element
 
 from conftest import A, G2, G3, el0
 
@@ -75,6 +76,21 @@ class TestSaturation:
 
     def test_empty_operator_set(self):
         assert saturation_relations(0, 3) == []
+
+    def test_built_once_per_shape(self):
+        a = saturation_relations(3, 2)
+        a.append(G2)
+        b = saturation_relations(3, 2)
+        assert len(b) == 6 and all(x is y for x, y in zip(a, b))
+
+    def test_embeddings_share_relations(self):
+        rel = el0((1, (1, -1)), (-1, (0, 0)))
+        p = Presentation(kind="inversive", operators=("x", "t"), unknowns=("u",), relations=(rel,))
+        first, second = embed_presentation(p).relations, embed_presentation(p).relations
+        assert first == second
+        assert all(x is y for x, y in zip(first[1:], second[1:]))
+        assert first[0].terms.keys() == second[0].terms.keys()
+        assert all(s is t for s, t in zip(first[0].terms, second[0].terms))
 
 
 class TestEmbedPresentation:
