@@ -372,7 +372,8 @@ def parameter_symbol(name: str) -> RationalFunction:
 
 
 def as_coeff(x) -> Coeff:
-    if isinstance(x, RationalFunction):
+    """``x`` itself when it is already a coefficient, else ``Fraction(x)``."""
+    if isinstance(x, (Fraction, RationalFunction)):
         return x
     return Fraction(x)
 

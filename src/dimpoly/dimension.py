@@ -28,7 +28,7 @@ import numpy as np
 
 from .coefficients import _add, _eval, _mul, _neg, _poly_str, signed_sum
 from .dsl import parse_coefficient
-from .freemodule import Element, TermOrder
+from .freemodule import Element, TermOrder, interned
 
 __all__ = [
     "DimPolyReport",
@@ -150,7 +150,7 @@ def binomial_poly(n: int) -> PolyQ:
     return p.scaled(Fraction(1, math.factorial(n)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Staircase:
     """Per-generator minimal antichains of leading-term exponent vectors."""
 
@@ -232,8 +232,8 @@ def dimension_polynomial(stair: Staircase, *, kind: str = "difference") -> "DimP
                 f"of the form 2^{m}*a/{m}!"
             )
     return DimPolyReport(
-        polynomial=polynomial,
-        binomial_coeffs=tuple(coeffs),
+        polynomial=interned(polynomial),
+        binomial_coeffs=interned(tuple(coeffs)),
         degree=max(len(coeffs) - 1, 0),
         typical_dimension=coeffs[-1] if coeffs else 0,
         delta_dimension=delta_dimension,
@@ -274,7 +274,7 @@ def _hilbert_numerator(antichain: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
     return _add(_hilbert_numerator(plus), (0,) * e + _hilbert_numerator(colon))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DimPolyReport:
     """Dimension polynomial with binomial-basis form and invariants."""
 
@@ -437,7 +437,7 @@ def lagrange_interpolate(points: Sequence[tuple[int, int]]) -> PolyQ:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationRecord:
     """Result of checking a dimension polynomial against the counting oracle.
 

@@ -14,9 +14,11 @@ normalized to ``lhs - rhs``.  Coefficient literals are integers, fractions
 ``p/q`` and parenthesized +,-,*,/ expressions over the single declared
 parameter with nonnegative integer ``^``.  Operator exponents may be negative
 only when the kind is ``inversive``.  Parentheses nest at most
-``MAX_NESTING`` deep, coefficient powers are at most ``MAX_EXPONENT`` and
-operator exponents at most ``MAX_OPERATOR_EXPONENT`` in absolute value;
-input beyond a limit is a :class:`DslError`.
+``MAX_NESTING`` deep, integer literals have at most ``MAX_DIGITS`` digits,
+coefficient powers are at most ``MAX_EXPONENT`` and the exponent of each
+operator in a term, summed over its factors, at most
+``MAX_OPERATOR_EXPONENT`` in absolute value; input beyond a limit is a
+:class:`DslError`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .freemodule import KINDS, Element, Presentation, Term, TermOrder
 
 __all__ = [
     "DslError",
+    "MAX_DIGITS",
     "MAX_EXPONENT",
     "MAX_NESTING",
     "MAX_OPERATOR_EXPONENT",
@@ -43,6 +46,7 @@ __all__ = [
 ]
 
 MAX_NESTING = 100  # parentheses; each level is a few frames of recursive descent
+MAX_DIGITS = 1000  # integer literals; below Python's own int() limit of 4300
 MAX_EXPONENT = 100  # coefficient powers: a^k costs degree-k arithmetic in every later step
 MAX_OPERATOR_EXPONENT = 100_000  # the Hilbert numerator is as long as the largest one
 
@@ -80,6 +84,10 @@ def _tokenize(text: str, line: int) -> list[_Tok]:
         if m.group("ident"):
             out.append(_Tok("IDENT", m.group("ident"), line, m.start("ident") + 1))
         elif m.group("int"):
+            if len(m.group("int")) > MAX_DIGITS:
+                raise DslError(
+                    f"integer literal longer than {MAX_DIGITS} digits", line, m.start("int") + 1
+                )
             out.append(_Tok("INT", m.group("int"), line, m.start("int") + 1))
         else:
             out.append(_Tok("SYM", m.group("sym"), line, m.start("sym") + 1))
@@ -179,6 +187,13 @@ class _ExprParser:
                 elif kind_tag == "op":
                     op_index, power = value
                     exps[op_index] += power
+                    if abs(exps[op_index]) > MAX_OPERATOR_EXPONENT:
+                        raise DslError(
+                            f"operator exponent {exps[op_index]} of {tok.text!r} in one term "
+                            f"exceeds the limit of {MAX_OPERATOR_EXPONENT}",
+                            tok.line,
+                            tok.col,
+                        )
                 elif gen is not None:
                     raise DslError("a term may contain only one unknown", tok.line, tok.col)
                 else:

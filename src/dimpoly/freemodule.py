@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .coefficients import Coeff, CoefficientError, RationalFunction, as_coeff
@@ -27,13 +28,14 @@ __all__ = [
     "apply_monomial",
     "combine",
     "divides",
+    "interned",
     "quotient",
     "shared",
     "term_order",
 ]
 
 KINDS = ("differential", "difference", "inversive")
-# The immutable terms and coefficients results share (see shared); emptied past 2^16.
+# The immutable values results share (see interned); emptied past 2^16.
 _canonical: dict = {}
 
 
@@ -46,13 +48,13 @@ class Term(NamedTuple):
 
 def term_order(t: Term) -> int:
     """Order of a term: sum of absolute exponent values."""
-    return sum(abs(k) for k in t.exps)
+    return sum(map(abs, t.exps))
 
 
 def divides(s: Term, t: Term) -> bool:
     """True iff some operator monomial sends s to t (same generator,
     componentwise <=).  Defined for nonnegative exponents."""
-    return s.gen == t.gen and all(a <= b for a, b in zip(s.exps, t.exps))
+    return s.gen == t.gen and all(map(le, s.exps, t.exps))
 
 
 def quotient(t: Term, s: Term) -> tuple[int, ...]:
@@ -62,9 +64,10 @@ def quotient(t: Term, s: Term) -> tuple[int, ...]:
     return tuple(b - a for a, b in zip(s.exps, t.exps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TermOrder:
-    """Admissible order with key (total order, generator index, exponents).
+    """Admissible order with the flat integer key (total order, generator
+    index, exponents).
 
     ``sequence`` is the permutation of operator positions used for the final
     lexicographic block; by default operators are compared in declaration
@@ -77,8 +80,9 @@ class TermOrder:
     def default(cls, n: int) -> "TermOrder":
         return cls(tuple(range(n)))
 
-    def key(self, t: Term):
-        return (term_order(t), t.gen, tuple(t.exps[i] for i in self.sequence))
+    def key(self, t: Term) -> tuple[int, ...]:
+        exps = t.exps
+        return (term_order(t), t.gen, *[exps[i] for i in self.sequence])
 
     def compare(self, s: Term, t: Term) -> int:
         ks, kt = self.key(s), self.key(t)
@@ -185,7 +189,7 @@ def apply_monomial(exps: tuple[int, ...], f: Element) -> Element:
         return f
     return _raw(
         {
-            Term(t.gen, tuple(a + b for a, b in zip(t.exps, exps))): c
+            Term(t.gen, tuple(map(add, t.exps, exps))): c
             for t, c in f.terms.items()
         }
     )
@@ -204,18 +208,33 @@ def combine(cof: Element, gens: Sequence[Element]) -> Element:
     return _raw({s: x for s, x in acc.items() if x})
 
 
-def shared(elements: Iterable[Element], known: Iterable[Element] = ()) -> list[Element]:
-    """The elements with equal terms and equal coefficients held as one
-    object each, and those equal to one of ``known`` replaced by it: a kept
-    result would otherwise carry a copy of each per occurrence."""
+def interned(x):
+    """The pooled value equal to ``x``, of the same type; ``x`` itself the
+    first time.  Only for immutable values whose equal instances are
+    interchangeable (a tuple of ints equals one of Fractions), which the
+    pool keeps alive until it is emptied."""
     if len(_canonical) > 1 << 16:
         _canonical.clear()
-    same, pool = {f: f for f in known}, _canonical.setdefault
-    new = lambda f: _raw({pool(t, t): pool((type(c), c), c) for t, c in f.terms.items()})
-    return [same.get(f) or same.setdefault(f, new(f)) for f in elements]
+    return _canonical.setdefault((type(x), x), x)
 
 
-@dataclass(frozen=True)
+def shared(elements: Iterable[Element], known: Iterable[Element] = ()) -> list[Element]:
+    """The elements as pooled values (see :func:`interned`) whose terms and
+    coefficients are pooled too, except that one equal to an element of
+    ``known`` is that object: a kept result would otherwise carry a copy of
+    each per occurrence."""
+    same = {f: f for f in known}
+
+    def pooled(f: Element) -> Element:
+        g = _canonical.get((Element, f))
+        if g is None:
+            g = interned(_raw({interned(t): interned(c) for t, c in f.terms.items()}))
+        return g
+
+    return [same.get(f) or same.setdefault(f, pooled(f)) for f in elements]
+
+
+@dataclass(frozen=True, slots=True)
 class Presentation:
     """A system descriptor: an operator ring kind, named operators and free
     generators, an optional coefficient parameter, and a relation list."""

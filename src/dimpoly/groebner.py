@@ -3,8 +3,12 @@ commutative operator rings.
 
 Every rewrite goes through one reducer, :func:`_reduce`.  It works over
 :class:`_Tracked` entries, which cache each basis element's leading term and
-coefficient, and it always takes the first divisor in list order; the
-published reduction chains of the worked examples depend on that rule.  In
+the inverse of its leading coefficient, and it always takes the first
+divisor in list order; the published reduction chains of the worked examples
+depend on that rule.  It changes the remainder in place: one term ->
+coefficient dict, with its terms in a heap keyed by the negated
+:meth:`TermOrder.key`, computed once per term, so the leading term is the
+heap top; a cancelled term's entry is skipped when popped (lazy deletion).  In
 head mode (:func:`reduce_element`, the completion loop, the Groebner test) it
 stops at the first irreducible leading term.  In full mode
 (:func:`normal_form`, :func:`autoreduce`) it sets that term aside and keeps
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import neg
 from typing import Callable, Iterable, Sequence
 
 from .coefficients import Coeff, inverse
@@ -81,7 +86,7 @@ def normal_form(f: Element, basis: Sequence[Element], order: TermOrder) -> Eleme
     return _reduce(f, None, _track(basis, order), order, full=True)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroebnerBasis:
     """Autoreduced monic Groebner basis plus completion statistics.
 
@@ -115,13 +120,15 @@ class GroebnerBasis:
 
 
 class _Tracked:
-    """Working pair of (element, cofactor vector) inside the completion."""
+    """Working pair of (element, cofactor vector) inside the completion, with
+    the element's leading term and the inverse of its leading coefficient."""
 
-    __slots__ = ("elem", "lt", "lc", "cof")
+    __slots__ = ("elem", "lt", "inv", "cof")
 
     def __init__(self, elem: Element, order: TermOrder, cof=None):
         self.elem = elem
-        self.lt, self.lc = elem.leading_term(order)
+        self.lt, lc = elem.leading_term(order)
+        self.inv = inverse(lc)
         self.cof = cof
 
 
@@ -136,11 +143,10 @@ def _s_poly(a: _Tracked, b: _Tracked):
     lcm = tuple(max(x, y) for x, y in zip(a.lt.exps, b.lt.exps))
     u1 = tuple(l - x for l, x in zip(lcm, a.lt.exps))
     u2 = tuple(l - x for l, x in zip(lcm, b.lt.exps))
-    inv1, inv2 = inverse(a.lc), inverse(b.lc)
-    s = apply_monomial(u1, a.elem).scaled(inv1) - apply_monomial(u2, b.elem).scaled(inv2)
+    s = apply_monomial(u1, a.elem).scaled(a.inv) - apply_monomial(u2, b.elem).scaled(b.inv)
     cof = None
     if a.cof is not None:
-        cof = apply_monomial(u1, a.cof).scaled(inv1) - apply_monomial(u2, b.cof).scaled(inv2)
+        cof = apply_monomial(u1, a.cof).scaled(a.inv) - apply_monomial(u2, b.cof).scaled(b.inv)
     return s, cof
 
 
@@ -152,30 +158,51 @@ def _reduce(f: Element, cof, basis: list[_Tracked], order: TermOrder, full: bool
     term; full mode moves it to the remainder and continues with the tail.
     ``cof`` (when not None) is updated alongside, and ``chain`` (when given)
     receives the index of each divisor used.  Returns (remainder, cof, steps).
+
+    The remainder is one mutable term -> coefficient dict, changed in place.
+    Its terms sit in a heap ordered by the negated ``order.key``, computed
+    once when a term enters, so the heap top is the leading term.  A term
+    that cancels is deleted from the dict and its heap entry is skipped when
+    popped (lazy deletion); a term that comes back is pushed again.  A step
+    subtracts factor * x^lam * g term by term: O(|g| log |r|) instead of
+    rescanning and copying the whole remainder.
     """
+    key = order.key
+    rem: dict[Term, Coeff] = dict(f.terms)
+    heap = [(tuple(map(neg, key(t))), t) for t in rem]
+    heapq.heapify(heap)
     done: dict[Term, Coeff] = {}
     steps = 0
-    r = f
-    while r:
-        t, c = r.leading_term(order)
+    while heap:
+        t = heapq.heappop(heap)[1]
+        c = rem.get(t)
+        if c is None:
+            continue
         for i, g in enumerate(basis):
             if divides(g.lt, t):
                 break
         else:
             if not full:
                 break
-            done[t] = c
-            r = r - Element({t: c})
+            done[t] = rem.pop(t)
             continue
         lam = quotient(t, g.lt)
-        factor = c * inverse(g.lc)
-        r = r - apply_monomial(lam, g.elem).scaled(factor)
+        factor = c * g.inv
+        for s, d in apply_monomial(lam, g.elem).terms.items():
+            x = rem.get(s)
+            if x is None:
+                rem[s] = -(factor * d)
+                heapq.heappush(heap, (tuple(map(neg, key(s))), s))
+            elif x := x - factor * d:
+                rem[s] = x
+            else:
+                del rem[s]
         if cof is not None:
             cof = cof - apply_monomial(lam, g.cof).scaled(factor)
         if chain is not None:
             chain.append(i)
         steps += 1
-    return (Element(done) if full else r), cof, steps
+    return Element(done if full else rem), cof, steps
 
 
 def buchberger(
@@ -203,6 +230,7 @@ def buchberger(
             if track_cofactors:
                 entry.cof = Element({Term(i, (0,) * len(entry.lt.exps)): 1})
             basis.append(entry)
+    inputs = len(basis)
 
     heap: list[tuple[int, int, int, int]] = []
     formed = 0
@@ -246,7 +274,7 @@ def buchberger(
             push_pairs(len(basis) - 1)
 
     completed_size = len(basis)
-    elements, cofactors = _autoreduce_tracked(basis, order)
+    elements, cofactors = _autoreduce_tracked(basis, order, basis[:inputs])
     return GroebnerBasis(
         elements=tuple(elements),
         order=order,
@@ -275,7 +303,10 @@ def _chain_redundant(basis: list[_Tracked], handled: set[tuple[int, int]], i: in
     return False
 
 
-def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder):
+def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder, known: list[_Tracked]):
+    """Minimal, tail-reduced, monic and sorted form of ``basis``; a result
+    equal to an element of ``known`` is that object, any other is pooled
+    (see :func:`shared`)."""
     # Minimality: drop elements whose leading term is divisible by another's.
     # Ascending scan guarantees divisors are kept before their multiples.
     kept: list[_Tracked] = []
@@ -287,23 +318,19 @@ def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder):
     for idx, g in enumerate(kept):
         others = kept[:idx] + kept[idx + 1 :]
         # Tail reduction: the head is irreducible modulo the others, so full
-        # mode only rewrites lower terms.
+        # mode only rewrites lower terms and g.inv still makes it monic.
         elem, cof, _ = _reduce(g.elem, g.cof, others, order, full=True)
-        lt, lc = elem.leading_term(order)
-        inv = inverse(lc)
-        elem = elem.scaled(inv)
-        if cof is not None:
-            cof = cof.scaled(inv)
-        reduced.append((elem, cof, lt))
+        reduced.append((elem.scaled(g.inv), cof and cof.scaled(g.inv), g.lt))
 
     reduced.sort(key=lambda item: (item[2].gen, order.key(item[2])))
-    elements = shared((item[0] for item in reduced), known=(w.elem for w in basis))
+    elements = shared((item[0] for item in reduced), known=(w.elem for w in known))
     return elements, [item[1] for item in reduced]
 
 
 def autoreduce(basis: Sequence[Element], order: TermOrder) -> list[Element]:
     """Minimal monic form of a Groebner basis, deterministically sorted."""
-    return _autoreduce_tracked(_track(basis, order), order)[0]
+    tracked = _track(basis, order)
+    return _autoreduce_tracked(tracked, order, tracked)[0]
 
 
 def is_groebner_basis(basis: Sequence[Element], order: TermOrder) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .freemodule import Element, Presentation, Term, shared
+from .freemodule import Element, Presentation, Term, interned, shared
 
 __all__ = [
     "embed_element",
@@ -71,7 +71,7 @@ def embed_presentation(p: Presentation) -> Presentation:
     relations += saturation_relations(m, q)
     return Presentation(
         kind="difference",
-        operators=sigma_operator_names(p.operators),
+        operators=interned(sigma_operator_names(p.operators)),
         unknowns=p.unknowns,
         relations=tuple(relations),
         parameter=p.parameter,

@@ -27,7 +27,7 @@ from .dimension import (
     validate_polynomial,
 )
 from .dsl import render_element
-from .freemodule import Presentation, TermOrder
+from .freemodule import Presentation, TermOrder, interned
 from .groebner import GroebnerBasis, buchberger
 from .inversive import embed_presentation
 from .schemes import SchemeSpec, discretize
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportDocument:
     """Full result of one strength computation."""
 
@@ -92,21 +92,24 @@ def compute_strength(
         # same operator sequence, then the inverse block
         seq = order.sequence
         order = TermOrder(seq + tuple(p.num_operators + i for i in seq))
+    # A kept report shares its order, staircase, polynomial and validation
+    # with every equal one instead of holding a copy (see interned).
+    order = interned(order)
 
     on_pair = None
     if trace is not None:
         on_pair = lambda *pair: trace(_trace_line(working, order, *pair))
     gb = buchberger(working.relations, order, trace=on_pair)
-    stair = staircase_from_basis(
-        gb.elements, order, q=working.num_unknowns, n=working.num_operators
+    stair = interned(
+        staircase_from_basis(gb.elements, order, q=working.num_unknowns, n=working.num_operators)
     )
     dim = dimension_polynomial(stair, kind=p.kind)
-    validation = validate_polynomial(dim, stair)
+    validation = interned(validate_polynomial(dim, stair))
     return ReportDocument(
         system_name=system_name,
         presentation=original,
         scheme_name=scheme_name,
-        scheme_description=scheme.describe() if scheme else None,
+        scheme_description=interned(scheme.describe()) if scheme else None,
         working=working,
         basis=gb,
         staircase=stair,

@@ -14,6 +14,7 @@ from dimpoly import (
     inverse,
     parameter_symbol,
 )
+from dimpoly.coefficients import as_coeff
 
 A = parameter_symbol("a")
 
@@ -291,6 +292,11 @@ class TestEdgeCases:
     def test_division_by_zero_rf(self, op):
         with pytest.raises(ZeroDivisionError):
             op(self.ZERO)
+
+    def test_as_coeff_returns_a_coefficient_as_is(self):
+        f, x = Fraction(3, 7), (A + 1) / (A - 2)
+        assert as_coeff(f) is f and as_coeff(x) is x
+        assert type(as_coeff(2)) is Fraction and as_coeff(2) == 2
 
     def test_cancellation_returns_fraction(self):
         x = (A + 1) / (A - 2)

@@ -161,6 +161,20 @@ class TestExpressionTable:
             ("x*u - a^1600*u", "line 5, column 9: coefficient power 1600 exceeds the limit of 100"),
             ("(a+1)^101*u", "line 5, column 7: coefficient power 101 exceeds the limit of 100"),
             ("x^1000000*u - t*u", "line 5, column 3: operator exponent 1000000 exceeds the limit of 100000"),
+            (
+                "x^100000*x^100000*u",
+                "line 5, column 10: operator exponent 200000 of 'x' in one term exceeds the limit of 100000",
+            ),
+            pytest.param(
+                "t*u - " + "7" * 5000 + "*u",
+                "line 5, column 7: integer literal longer than 1000 digits",
+                id="coefficient-5000-digits",
+            ),
+            pytest.param(
+                "t^" + "1" * 5000 + "*u",
+                "line 5, column 3: integer literal longer than 1000 digits",
+                id="exponent-5000-digits",
+            ),
             pytest.param(
                 "(" * 101 + "1" + ")" * 101 + "*u",
                 "line 5, column 101: parentheses nested deeper than 100",
@@ -184,6 +198,9 @@ class TestExpressionTable:
             ("differential", "+t*u = x*u - u", "-x*u + t*u + u"),
             ("inversive", "x^-2*t*u", "x^-2*t*u"),
             ("differential", "x^100000*u - a^100*v", "x^100000*u - a^100*v"),
+            ("differential", "x^60000*t*x^40000*u", "x^100000*t*u"),
+            ("inversive", "x^100000*x^-100000*x^-100000*u", "x^-100000*u"),
+            pytest.param("differential", "9" * 1000 + "*u", "9" * 1000 + "*u", id="coefficient-1000-digits"),
             pytest.param("differential", "(" * 100 + "2" + ")" * 100 + "*u", "2*u", id="nesting-100"),
         ],
     )

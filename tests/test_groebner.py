@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import dimpoly.groebner
 from dimpoly import (
@@ -21,7 +21,9 @@ from dimpoly import (
 )
 from dimpoly.builtin_systems import builtin_scheme, builtin_system
 from dimpoly.dimension import free_term_count_oracle
-from dimpoly.groebner import autoreduce, reduce_element, s_polynomial
+from dimpoly.coefficients import inverse
+from dimpoly.freemodule import quotient
+from dimpoly.groebner import _reduce, _track, autoreduce, reduce_element, s_polynomial
 from dimpoly.pipeline import compute_strength
 
 from conftest import (
@@ -485,3 +487,83 @@ def test_rank_two_completion_properties(inputs, f):
     assert gb.pairs_processed == replay.pairs_processed == len(records)
     assert gb.reduction_steps <= replay.reduction_steps
     assert 0 <= gb.pairs_pruned <= gb.pairs_processed
+
+
+# -- the heap reducer against the rescanning loop it replaced -------------------
+
+
+def _reference_reduce(f, cof, basis, order, full, chain):
+    """The reduction loop before the heap: find the leading term by scanning
+    the whole remainder at every step and subtract whole elements."""
+    done = {}
+    steps = 0
+    r = f
+    while r:
+        t, c = r.leading_term(order)
+        for i, g in enumerate(basis):
+            if divides(g.lt, t):
+                break
+        else:
+            if not full:
+                break
+            done[t] = c
+            r = r - Element({t: c})
+            continue
+        lam = quotient(t, g.lt)
+        factor = c * inverse(g.elem.leading_term(order)[1])
+        r = r - apply_monomial(lam, g.elem).scaled(factor)
+        if cof is not None:
+            cof = cof - apply_monomial(lam, g.cof).scaled(factor)
+        chain.append(i)
+        steps += 1
+    return (Element(done) if full else r), cof, steps
+
+
+_over_q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_over_qa = st.one_of(_over_q, st.sampled_from([A, -A, 2 * A, A + 1, 1 / A, (A - 1) / (A + 2)]))
+
+
+@st.composite
+def _reduction_inputs(draw):
+    """(f, basis, order) with at most 3 operators and 2 generators."""
+    n = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 2))
+    coeff = draw(st.sampled_from([_over_q, _over_qa]))
+    term = st.tuples(coeff, st.tuples(*[st.integers(0, 2)] * n), st.integers(0, q - 1))
+    element = st.lists(term, min_size=1, max_size=4).map(Element.from_pairs)
+    basis = draw(st.lists(element.filter(bool), min_size=1, max_size=3))
+    return draw(element), basis, TermOrder(tuple(draw(st.permutations(range(n)))))
+
+
+# y cancels in the first step (by x^2 + y - x) and comes back in the second
+# (by x - y): the heap still holds its first entry when it is pushed again.
+_RETURNING = (
+    el0((1, (2, 0)), (1, (0, 1))),
+    [el0((1, (2, 0)), (1, (0, 1)), (-1, (1, 0))), el0((1, (1, 0)), (-1, (0, 1)))],
+    DIFF_ORDER,
+)
+
+
+@given(inputs=_reduction_inputs(), full=st.booleans(), tracked=st.booleans())
+@example(inputs=_RETURNING, full=False, tracked=True)
+@example(inputs=_RETURNING, full=True, tracked=False)
+def test_reduce_matches_the_rescanning_loop(inputs, full, tracked):
+    f, basis, order = inputs
+    entries = _track(basis, order)
+    cof = None
+    if tracked:
+        zero = (0,) * len(order.sequence)
+        for k, g in enumerate(entries):
+            g.cof = Element({Term(k, zero): 1})
+        cof = Element({Term(len(entries), zero): 1})
+    chain, want_chain = [], []
+    got = _reduce(f, cof, entries, order, full, chain)
+    assert got == _reference_reduce(f, cof, entries, order, full, want_chain)
+    assert chain == want_chain
+
+
+def test_returning_term_is_reduced_in_two_steps():
+    f, basis, order = _RETURNING
+    chain = []
+    r, _, steps = _reduce(f, None, _track(basis, order), order, False, chain)
+    assert (r, steps, chain) == (el0((1, (0, 1))), 2, [0, 1])

@@ -1,13 +1,17 @@
+import gc
 import json
+import tracemalloc
 
 import pytest
 
+import dimpoly.freemodule
 from dimpoly import (
     Presentation,
     builtin_system,
     compute_strength,
     expand_binomial_basis,
     parse_poly,
+    parse_system,
     report_from_json,
     report_to_json,
     report_to_text,
@@ -80,6 +84,49 @@ class TestComputeStrength:
             resolve_order(p, ("x", "q"))
         with pytest.raises(ValueError):
             resolve_order(p, ("x",))
+
+
+# A case shaped like the benchmark sweeps: two unknowns, per-operator rules.
+SWEEP_STYLE = (
+    "kind differential\noperators x y t\nunknowns u v\n"
+    "relation t*u + (1/2)*x^2*v + (-3)*x*u\nrelation t*v + 2*y*u + x*y*v\n"
+)
+
+
+class TestRepeatedCase:
+    """Reports kept from repeated runs of one input share their parts, so
+    keeping many reports costs little more than keeping one."""
+
+    @pytest.fixture
+    def run(self, monkeypatch):
+        monkeypatch.setattr(dimpoly.freemodule, "_canonical", {})  # a fresh pool
+        p = parse_system(SWEEP_STYLE).presentation
+        scheme = rule_spec({"x": "central", "y": "central2", "t": "forward"}, p.operators)
+        return lambda: compute_strength(p, scheme=scheme)
+
+    def test_second_run_returns_the_same_parts(self, run):
+        first, again = run(), run()
+        assert len(first.basis) == len(again.basis) > 1
+        assert all(f is g for f, g in zip(first.basis.elements, again.basis.elements))
+        assert again.working.operators is first.working.operators
+        assert again.basis.order is first.basis.order
+        assert again.staircase is first.staircase
+        assert again.dim.polynomial is first.dim.polynomial
+
+    def test_kept_reports_retain_little(self, run):
+        run(), run()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [run() for _ in range(10)]
+            gc.collect()
+            per_report = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert per_report < 2048
 
 
 class TestJsonReport:
