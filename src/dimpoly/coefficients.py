@@ -18,7 +18,8 @@ directly:
   factor changes no gcd, so no gcd runs;
 * ``inverse(x)``, ``1 / x``, ``c / x``: d/n, divided by the leading
   coefficient of n to make it monic; gcd(d, n) = 1, no gcd runs;
-* ``x ** k``: n^k/d^k; coprime bases give coprime powers, no gcd runs;
+* ``x ** k``: n^k/d^k by square-and-multiply; coprime bases give coprime
+  powers, no gcd runs;
 * ``x * y`` (Henrici's product): only n1 with d2, and n2 with d1, can share
   factors, so gcd(n1, d2) and gcd(n2, d1) are cancelled first and the
   product of the cofactors is reduced and monic; the full gcd of the product
@@ -27,16 +28,24 @@ directly:
   t/((d1/g)*d2) where t = n1*(d2/g) + n2*(d1/g); a common factor of t and
   the denominator can only divide g, so h = gcd(t, g) is cancelled from t and
   d2 and the full gcd is skipped; when g = 1 the cross-multiplied pair is
-  already reduced.  Subtraction is addition of the negation, division is
-  multiplication by the inverse;
+  already reduced.  When d1 == d2, g is d1 itself, so its Euclid is skipped:
+  t = n1 + n2 and only h = gcd(t, d1) is cancelled, leaving a monic d1/h.
+  Subtraction is addition of the negation, division is multiplication by
+  the inverse;
 * the public constructor ``RationalFunction(parameter, num, den)``
   normalizes any pair with one gcd, skipped when either side is a nonzero
   constant, because that gcd is 1.
 
 The gcd helper itself returns 1 without dividing when either argument is a
-nonzero constant, which covers the Henrici gcds with a constant side.
+nonzero constant, which covers the Henrici gcds with a constant side, and
+stops Euclid at the first nonzero constant remainder: the gcd is then 1, and
+the one more division and the scaling to monic form that would find it are
+skipped.  Polynomial division runs top-down once and trims only at the
+end; it divides by the divisor's lead only when that lead is not 1, which
+skips every division by a canonical denominator, since those are monic.
+None of this changes a result: the canonical form is the same exact value.
 Henrici's formulas are in P. Henrici, JACM 3 (1956), and in Knuth, TAOCP
-Vol. 2, section 4.5.1.
+Vol. 2, section 4.5.1; division and Euclid are in section 4.6.1.
 
 All values are immutable and safe to share between threads.
 """
@@ -105,22 +114,24 @@ def _mul(a: _Poly, b: _Poly) -> _Poly:
 
 
 def _divmod(a: _Poly, b: _Poly) -> tuple[_Poly, _Poly]:
+    """Quotient and remainder in one top-down pass; the lead of each
+    remainder cancels exactly, so it is never computed, and a monic divisor
+    needs no division."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    n = len(b) - 1
     rem = list(a)
-    dlead = b[-1]
-    while len(rem) >= len(b) and _trim(rem):
-        rem = list(_trim(rem))
-        if len(rem) < len(b):
-            break
-        shift = len(rem) - len(b)
-        factor = rem[-1] / dlead
-        quot[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] -= factor * c
-        rem.pop()
-    return _trim(quot), _trim(rem)
+    quot = [Fraction(0)] * max(len(a) - n, 0)
+    lead = b[-1]
+    for shift in range(len(a) - 1 - n, -1, -1):
+        factor = rem[shift + n]
+        if factor:
+            if lead != 1:
+                factor /= lead
+            quot[shift] = factor
+            for i in range(n):
+                rem[shift + i] -= factor * b[i]
+    return _trim(quot), _trim(rem[:n])
 
 
 def _monic(a: _Poly) -> _Poly:
@@ -131,12 +142,13 @@ def _monic(a: _Poly) -> _Poly:
 
 
 def _gcd(a: _Poly, b: _Poly) -> _Poly:
-    """Monic gcd; 1 without division when either side is a nonzero constant."""
-    if len(a) == 1 or len(b) == 1:
+    """Monic gcd; 1 without further division as soon as either side or a
+    remainder is a nonzero constant."""
+    if len(a) == 1:
         return _ONE
-    while b:
+    while len(b) > 1:
         a, b = b, _divmod(a, b)[1]
-    return _monic(a)
+    return _ONE if b else _monic(a)
 
 
 def _eval(a: _Poly, x: Fraction) -> Fraction:
@@ -288,8 +300,13 @@ class RationalFunction:
         if not isinstance(k, int) or k < 0:
             raise CoefficientError("coefficient powers must be nonnegative integers")
         num = den = _ONE
-        for _ in range(k):
-            num, den = _mul(num, self.num), _mul(den, self.den)
+        base_num, base_den = self.num, self.den
+        while k:
+            if k & 1:
+                num, den = _mul(num, base_num), _mul(den, base_den)
+            k >>= 1
+            if k:
+                base_num, base_den = _mul(base_num, base_num), _mul(base_den, base_den)
         return _reduced(self.parameter, num, den)
 
     # -- comparisons -------------------------------------------------------
@@ -352,6 +369,14 @@ def _product(parameter: str, n1: _Poly, d1: _Poly, n2: _Poly, d2: _Poly) -> "Coe
 
 def _sum(parameter: str, n1: _Poly, d1: _Poly, n2: _Poly, d2: _Poly) -> "Coeff":
     """Henrici's sum n1/d1 + n2/d2 of reduced fractions."""
+    if d1 == d2:
+        t = _add(n1, n2)
+        if not t:
+            return Fraction(0)
+        h = _gcd(t, d1)
+        if len(h) > 1:
+            t, d1 = _divmod(t, h)[0], _divmod(d1, h)[0]
+        return _reduced(parameter, t, d1)
     g = _gcd(d1, d2)
     if len(g) == 1:
         return _reduced(parameter, _add(_mul(n1, d2), _mul(n2, d1)), _mul(d1, d2))

@@ -2,9 +2,9 @@
 commutative operator rings.
 
 Every rewrite goes through one reducer, :func:`_reduce`.  It works over
-:class:`_Tracked` entries, which cache each basis element's leading term and
-the inverse of its leading coefficient, and it always takes the first
-divisor in list order; the published reduction chains of the worked examples
+:class:`_Tracked` entries, which hold each basis element made monic when it
+enters, with its leading term cached, and it always takes the first divisor
+in list order; the published reduction chains of the worked examples
 depend on that rule.  It changes the remainder in place: one term ->
 coefficient dict, with its terms in a heap keyed by the negated
 :meth:`TermOrder.key`, computed once per term, so the leading term is the
@@ -18,7 +18,11 @@ A cofactor vector is itself an :class:`Element`, of the free module whose
 generator i stands for the i-th input (zero inputs keep their position), and
 it takes the same monomial shifts, scalings and differences as the element it
 tracks; ``combine(cof, inputs)`` from :mod:`dimpoly.freemodule` expands it
-back to that element.
+back to that element.  A monic entry makes an S-polynomial a plain
+difference of shifts and a reduction factor the coefficient being cancelled,
+so a leading coefficient is divided out once per entry instead of in every
+pair and step.  S-polynomials and reductions do not change when an element
+is multiplied by a nonzero constant, so this leaves every result as it is.
 
 :func:`autoreduce` also makes every element monic and sorts the basis into a
 deterministic canonical form.
@@ -120,15 +124,19 @@ class GroebnerBasis:
 
 
 class _Tracked:
-    """Working pair of (element, cofactor vector) inside the completion, with
-    the element's leading term and the inverse of its leading coefficient."""
+    """Working pair of (element, cofactor vector) inside the completion, both
+    scaled by the inverse leading coefficient so that the element is monic,
+    with the element's leading term."""
 
-    __slots__ = ("elem", "lt", "inv", "cof")
+    __slots__ = ("elem", "lt", "cof")
 
     def __init__(self, elem: Element, order: TermOrder, cof=None):
-        self.elem = elem
         self.lt, lc = elem.leading_term(order)
-        self.inv = inverse(lc)
+        if lc != 1:
+            inv = inverse(lc)
+            elem = elem.scaled(inv)
+            cof = cof and cof.scaled(inv)
+        self.elem = elem
         self.cof = cof
 
 
@@ -143,10 +151,10 @@ def _s_poly(a: _Tracked, b: _Tracked):
     lcm = tuple(max(x, y) for x, y in zip(a.lt.exps, b.lt.exps))
     u1 = tuple(l - x for l, x in zip(lcm, a.lt.exps))
     u2 = tuple(l - x for l, x in zip(lcm, b.lt.exps))
-    s = apply_monomial(u1, a.elem).scaled(a.inv) - apply_monomial(u2, b.elem).scaled(b.inv)
+    s = apply_monomial(u1, a.elem) - apply_monomial(u2, b.elem)
     cof = None
     if a.cof is not None:
-        cof = apply_monomial(u1, a.cof).scaled(a.inv) - apply_monomial(u2, b.cof).scaled(b.inv)
+        cof = apply_monomial(u1, a.cof) - apply_monomial(u2, b.cof)
     return s, cof
 
 
@@ -164,8 +172,9 @@ def _reduce(f: Element, cof, basis: list[_Tracked], order: TermOrder, full: bool
     once when a term enters, so the heap top is the leading term.  A term
     that cancels is deleted from the dict and its heap entry is skipped when
     popped (lazy deletion); a term that comes back is pushed again.  A step
-    subtracts factor * x^lam * g term by term: O(|g| log |r|) instead of
-    rescanning and copying the whole remainder.
+    subtracts c * x^lam * g term by term, where c is the coefficient being
+    cancelled (g is monic): O(|g| log |r|) instead of rescanning and copying
+    the whole remainder.
     """
     key = order.key
     rem: dict[Term, Coeff] = dict(f.terms)
@@ -187,18 +196,17 @@ def _reduce(f: Element, cof, basis: list[_Tracked], order: TermOrder, full: bool
             done[t] = rem.pop(t)
             continue
         lam = quotient(t, g.lt)
-        factor = c * g.inv
         for s, d in apply_monomial(lam, g.elem).terms.items():
             x = rem.get(s)
             if x is None:
-                rem[s] = -(factor * d)
+                rem[s] = -(c * d)
                 heapq.heappush(heap, (tuple(map(neg, key(s))), s))
-            elif x := x - factor * d:
+            elif x := x - c * d:
                 rem[s] = x
             else:
                 del rem[s]
         if cof is not None:
-            cof = cof - apply_monomial(lam, g.cof).scaled(factor)
+            cof = cof - apply_monomial(lam, g.cof).scaled(c)
         if chain is not None:
             chain.append(i)
         steps += 1
@@ -215,22 +223,21 @@ def buchberger(
     """Complete ``generators`` to a Groebner basis, then autoreduce.
 
     Deterministic: pairs are processed in (lcm total degree, insertion index)
-    order and zero input relations are skipped.  Elements are kept
-    unnormalized during the loop and made monic only at the end.  Without a
+    order and zero input relations are skipped.  Every element is made monic
+    when it enters the basis (see :class:`_Tracked`).  Without a
     ``trace`` the chain criterion skips redundant pairs; with one, every
     pair is reduced and reported as ``trace(i, j, s, chain, added)``: the
     0-based pair, its S-polynomial, the basis indices of the divisors used
     (None when S = 0), and the index the remainder is added at (None when it
     reduced to 0).  The call comes before the remainder is added.
     """
-    basis: list[_Tracked] = []
-    for i, g in enumerate(generators):
-        if g:
-            entry = _Tracked(g, order)
-            if track_cofactors:
-                entry.cof = Element({Term(i, (0,) * len(entry.lt.exps)): 1})
-            basis.append(entry)
-    inputs = len(basis)
+    generators = list(generators)
+    zero = (0,) * len(order.sequence)
+    basis = [
+        _Tracked(g, order, Element({Term(i, zero): 1}) if track_cofactors else None)
+        for i, g in enumerate(generators)
+        if g
+    ]
 
     heap: list[tuple[int, int, int, int]] = []
     formed = 0
@@ -274,7 +281,7 @@ def buchberger(
             push_pairs(len(basis) - 1)
 
     completed_size = len(basis)
-    elements, cofactors = _autoreduce_tracked(basis, order, basis[:inputs])
+    elements, cofactors = _autoreduce_tracked(basis, order, generators)
     return GroebnerBasis(
         elements=tuple(elements),
         order=order,
@@ -303,8 +310,8 @@ def _chain_redundant(basis: list[_Tracked], handled: set[tuple[int, int]], i: in
     return False
 
 
-def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder, known: list[_Tracked]):
-    """Minimal, tail-reduced, monic and sorted form of ``basis``; a result
+def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder, known: Iterable[Element]):
+    """Minimal, tail-reduced and sorted form of the monic ``basis``; a result
     equal to an element of ``known`` is that object, any other is pooled
     (see :func:`shared`)."""
     # Minimality: drop elements whose leading term is divisible by another's.
@@ -318,19 +325,18 @@ def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder, known: list[_Tr
     for idx, g in enumerate(kept):
         others = kept[:idx] + kept[idx + 1 :]
         # Tail reduction: the head is irreducible modulo the others, so full
-        # mode only rewrites lower terms and g.inv still makes it monic.
+        # mode only rewrites lower terms and the result stays monic.
         elem, cof, _ = _reduce(g.elem, g.cof, others, order, full=True)
-        reduced.append((elem.scaled(g.inv), cof and cof.scaled(g.inv), g.lt))
+        reduced.append((elem, cof, g.lt))
 
     reduced.sort(key=lambda item: (item[2].gen, order.key(item[2])))
-    elements = shared((item[0] for item in reduced), known=(w.elem for w in known))
+    elements = shared((item[0] for item in reduced), known=known)
     return elements, [item[1] for item in reduced]
 
 
 def autoreduce(basis: Sequence[Element], order: TermOrder) -> list[Element]:
     """Minimal monic form of a Groebner basis, deterministically sorted."""
-    tracked = _track(basis, order)
-    return _autoreduce_tracked(tracked, order, tracked)[0]
+    return _autoreduce_tracked(_track(basis, order), order, basis)[0]
 
 
 def is_groebner_basis(basis: Sequence[Element], order: TermOrder) -> bool:

@@ -14,7 +14,7 @@ from dimpoly import (
     inverse,
     parameter_symbol,
 )
-from dimpoly.coefficients import as_coeff
+from dimpoly.coefficients import _add, _divmod, _gcd, _mul, _reduced, _sum, as_coeff
 
 A = parameter_symbol("a")
 
@@ -216,9 +216,76 @@ def pgcd_degree(a, b):
     return len(a) - 1
 
 
+# -- the polynomial kernel as it was before its shortcuts -----------------------
+#
+# Division that trims the remainder in every step and always divides by the
+# lead, Euclid run down to a zero remainder, and Henrici's sum taking
+# gcd(d1, d2) even when d1 == d2.  They serve as oracles for the kernel, and
+# reference() normalizes with them, so the operator tests below do not check
+# the kernel against itself.
+
+
+def _trim_reference(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _divmod_reference(a, b):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    rem = list(a)
+    dlead = b[-1]
+    while len(rem) >= len(b) and _trim_reference(rem):
+        rem = list(_trim_reference(rem))
+        if len(rem) < len(b):
+            break
+        shift = len(rem) - len(b)
+        factor = rem[-1] / dlead
+        quot[shift] = factor
+        for i, c in enumerate(b):
+            rem[shift + i] -= factor * c
+        rem.pop()
+    return _trim_reference(quot), _trim_reference(rem)
+
+
+def _monic_reference(a):
+    if not a or a[-1] == 1:
+        return a
+    lead = a[-1]
+    return tuple(c / lead for c in a)
+
+
+def _gcd_reference(a, b):
+    if len(a) == 1 or len(b) == 1:
+        return (Fraction(1),)
+    while b:
+        a, b = b, _divmod_reference(a, b)[1]
+    return _monic_reference(a)
+
+
+def _sum_reference(parameter, n1, d1, n2, d2):
+    g = _gcd_reference(d1, d2)
+    if len(g) == 1:
+        return _reduced(parameter, _add(_mul(n1, d2), _mul(n2, d1)), _mul(d1, d2))
+    e1 = _divmod_reference(d1, g)[0]
+    t = _add(_mul(n1, _divmod_reference(d2, g)[0]), _mul(n2, e1))
+    h = _gcd_reference(t, g)
+    if len(h) > 1:
+        t, d2 = _divmod_reference(t, h)[0], _divmod_reference(d2, h)[0]
+    return _reduced(parameter, t, _mul(e1, d2))
+
+
 def reference(num, den):
-    expected = rf(num, den)
-    return expected.constant_value() if expected.is_constant() else expected
+    """Canonical value of num/den, normalized by the reference kernel."""
+    num, den = _trim_reference(num), _trim_reference(den)
+    g = _gcd_reference(num, den)
+    if len(g) > 1:
+        num, den = _divmod_reference(num, g)[0], _divmod_reference(den, g)[0]
+    lead = den[-1]
+    return _reduced("a", tuple(c / lead for c in num), tuple(c / lead for c in den))
 
 
 def assert_canonical(value, expected):
@@ -248,6 +315,12 @@ class TestCanonicalResults:
     # 1/(a(a-1)) + 1/(a(a+1)) = 2/(a^2-1): the sum's numerator shares the
     # factor a with gcd(d1, d2), which Henrici's second gcd must cancel
     @example(x=rf((1,), from_roots(1, [0, 1])), y=rf((1,), from_roots(1, [0, -1])))
+    # 1/(a^2-1) + a/(a^2-1) = 1/(a-1): equal denominators, and the numerator
+    # sum shares the factor a+1 with them
+    @example(x=rf((1,), from_roots(1, [1, -1])), y=rf((0, 1), from_roots(1, [1, -1])))
+    # Euclid on a^2+1 and a^2+a+1 meets the constant remainder 1 after one
+    # step, where the gcd stops
+    @example(x=rf((1,), (1, 0, 1)), y=rf((1,), (1, 1, 1)))
     def test_binary(self, name, x, y):
         assume(isinstance(x, RationalFunction) or isinstance(y, RationalFunction))
         op, cross = BINARY[name]
@@ -272,7 +345,8 @@ class TestCanonicalResults:
             return
         assert_canonical(inverse(x), reference(d, n))
 
-    @given(x=rfs, k=st.integers(0, 3))
+    # up to k = 9, so that square-and-multiply squares three times
+    @given(x=rfs, k=st.integers(0, 9))
     def test_power(self, x, k):
         n, d = raw(x)
         num, den = [Fraction(1)], [Fraction(1)]
@@ -315,3 +389,77 @@ class TestEdgeCases:
         for x in (A, 1 / A, (A + 1) / (A - 2), rf((5,)), self.ZERO):
             with pytest.raises(CoefficientError):
                 op(x, other)
+
+
+# -- the kernel against the reference kernel ------------------------------------
+
+polys = st.lists(small, max_size=5).map(_trim_reference)
+# c * prod(a - r) over few roots, so that gcds are often nontrivial
+factored = st.builds(from_roots, small.filter(bool), roots)
+nonzero_polys = st.one_of(polys, factored).filter(bool)
+
+
+@st.composite
+def division_inputs(draw):
+    """(a, b): b nonzero and often not monic; a arbitrary, an exact multiple
+    of b, or a multiple plus a nonzero constant."""
+    b = draw(nonzero_polys)
+    kind = draw(st.sampled_from(["any", "exact", "constant"]))
+    if kind == "any":
+        return draw(st.one_of(polys, factored)), b
+    tail = () if kind == "exact" else (draw(small.filter(bool)),)
+    return _add(_mul(draw(polys), b), tail), b
+
+
+class TestKernel:
+    @given(inputs=division_inputs())
+    @example(inputs=((Fraction(1), Fraction(2), Fraction(3)), (Fraction(1), Fraction(2))))
+    @example(inputs=(_mul(from_roots(3, [1, 2]), from_roots(2, [0])), from_roots(2, [0])))
+    @example(inputs=((Fraction(5),), (Fraction(1), Fraction(1))))
+    def test_divmod_matches_the_reference(self, inputs):
+        a, b = inputs
+        q, r = _divmod(a, b)
+        assert (q, r) == _divmod_reference(a, b)
+        assert _add(_mul(q, b), r) == a
+        assert len(r) < len(b)
+        assert all(type(c) is Fraction for c in q + r)
+
+    def test_divmod_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            _divmod((Fraction(1),), ())
+
+    @given(a=st.one_of(polys, factored), b=st.one_of(polys, factored), common=roots)
+    # Euclid on a^2+1 and a^2+a+1 stops at the constant remainder 1
+    @example(a=(Fraction(1), Fraction(0), Fraction(1)), b=(Fraction(1), Fraction(1), Fraction(1)), common=[])
+    @example(a=(), b=(Fraction(2), Fraction(4)), common=[])
+    @example(a=(), b=(), common=[])
+    def test_gcd_matches_the_reference(self, a, b, common):
+        shared_factor = from_roots(1, common)
+        a, b = _mul(a, shared_factor), _mul(b, shared_factor)
+        g = _gcd(a, b)
+        assert g == _gcd_reference(a, b)
+        if g:
+            assert g[-1] == 1
+            assert _divmod_reference(a, g)[1] == () and _divmod_reference(b, g)[1] == ()
+
+    @given(x=rfs, y=rfs)
+    @example(x=rf((1,), from_roots(1, [0, 1])), y=rf((1,), from_roots(1, [0, -1])))
+    def test_sum_matches_the_reference(self, x, y):
+        assume(isinstance(x, RationalFunction) and isinstance(y, RationalFunction))
+        args = ("a", x.num, x.den, y.num, y.den)
+        assert_canonical(_sum(*args), _sum_reference(*args))
+
+    @given(x=rfs, s=scalars, k=scalars)
+    # 1/(a^2-1) + ((a^2-2)/(a^2-1)) = 1: the numerator sum is the common
+    # denominator itself
+    @example(x=rf((1,), from_roots(1, [1, -1])), s=-1, k=1)
+    # x + (-x) = 0
+    @example(x=rf((1,), from_roots(1, [1, -1])), s=-1, k=0)
+    def test_sum_with_equal_denominators(self, x, s, k):
+        """x and s*x + k share their denominator, so the sum takes the
+        equal-denominator path."""
+        y = x * s + k
+        assume(isinstance(x, RationalFunction) and isinstance(y, RationalFunction))
+        assert x.den == y.den
+        args = ("a", x.num, x.den, y.num, y.den)
+        assert_canonical(_sum(*args), _sum_reference(*args))

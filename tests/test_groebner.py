@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -23,7 +24,7 @@ from dimpoly.builtin_systems import builtin_scheme, builtin_system
 from dimpoly.dimension import free_term_count_oracle
 from dimpoly.coefficients import inverse
 from dimpoly.freemodule import quotient
-from dimpoly.groebner import _reduce, _track, autoreduce, reduce_element, s_polynomial
+from dimpoly.groebner import _reduce, _track, _Tracked, autoreduce, reduce_element, s_polynomial
 from dimpoly.pipeline import compute_strength
 
 from conftest import (
@@ -493,8 +494,9 @@ def test_rank_two_completion_properties(inputs, f):
 
 
 def _reference_reduce(f, cof, basis, order, full, chain):
-    """The reduction loop before the heap: find the leading term by scanning
-    the whole remainder at every step and subtract whole elements."""
+    """The reduction loop before the heap and before monic entries: find the
+    leading term by scanning the whole remainder at every step, and subtract
+    whole elements divided by their leading coefficients."""
     done = {}
     steps = 0
     r = f
@@ -544,21 +546,28 @@ _RETURNING = (
 )
 
 
+def _originals(basis, order, cofs=None):
+    """Entries that keep each element as given, leading coefficient and all."""
+    cofs = cofs or [None] * len(basis)
+    return [SimpleNamespace(elem=g, lt=g.leading_term(order)[0], cof=u) for g, u in zip(basis, cofs)]
+
+
 @given(inputs=_reduction_inputs(), full=st.booleans(), tracked=st.booleans())
 @example(inputs=_RETURNING, full=False, tracked=True)
 @example(inputs=_RETURNING, full=True, tracked=False)
 def test_reduce_matches_the_rescanning_loop(inputs, full, tracked):
+    """The heap reducer over monic entries agrees with the rescanning loop
+    over the original elements, which divides by their leading coefficients
+    at every step."""
     f, basis, order = inputs
-    entries = _track(basis, order)
-    cof = None
-    if tracked:
-        zero = (0,) * len(order.sequence)
-        for k, g in enumerate(entries):
-            g.cof = Element({Term(k, zero): 1})
-        cof = Element({Term(len(entries), zero): 1})
+    zero = (0,) * len(order.sequence)
+    cofs = [Element({Term(k, zero): 1}) for k in range(len(basis) + 1)] if tracked else None
+    entries = [_Tracked(g, order, cofs and cofs[k]) for k, g in enumerate(basis)]
+    assert all(g.elem.leading_term(order)[1] == 1 for g in entries)
+    cof = cofs and cofs[-1]
     chain, want_chain = [], []
     got = _reduce(f, cof, entries, order, full, chain)
-    assert got == _reference_reduce(f, cof, entries, order, full, want_chain)
+    assert got == _reference_reduce(f, cof, _originals(basis, order, cofs), order, full, want_chain)
     assert chain == want_chain
 
 
@@ -567,3 +576,81 @@ def test_returning_term_is_reduced_in_two_steps():
     chain = []
     r, _, steps = _reduce(f, None, _track(basis, order), order, False, chain)
     assert (r, steps, chain) == (el0((1, (0, 1))), 2, [0, 1])
+
+
+# -- monic entries: a leading coefficient is divided out once, on entry ---------
+
+
+def _reference_s_poly(g1, g2, order):
+    """The S-polynomial with both shifts divided by their leading
+    coefficients, as it was formed before entries were monic."""
+    (t1, c1), (t2, c2) = g1.leading_term(order), g2.leading_term(order)
+    if t1.gen != t2.gen:
+        return Element()
+    lcm = Term(t1.gen, tuple(map(max, t1.exps, t2.exps)))
+    return apply_monomial(quotient(lcm, t1), g1).scaled(inverse(c1)) - apply_monomial(
+        quotient(lcm, t2), g2
+    ).scaled(inverse(c2))
+
+
+def _reference_is_groebner(basis, order):
+    originals = _originals(basis, order)
+    return all(
+        not _reference_reduce(_reference_s_poly(a.elem, b.elem, order), None, originals, order, False, [])[0]
+        for i, a in enumerate(originals)
+        for b in originals[i + 1 :]
+    )
+
+
+_SCALES = [2, Fraction(-1, 3), A, -A, A + 1, 1 / (A + 1)]
+
+
+class TestMonicEntries:
+    def test_entry_is_monic_with_its_cofactor_scaled_alike(self):
+        g = el0((A + 1, (1, 0)), (2 * A, (0, 1)), (-1, (0, 0)))
+        cof = el0((1, (0, 0)))
+        entry = _Tracked(g, DIFF_ORDER, cof)
+        assert entry.elem == g.scaled(1 / (A + 1))
+        assert entry.cof == cof.scaled(1 / (A + 1))
+        assert entry.lt == Term(0, (1, 0))
+        monic = _Tracked(entry.elem, DIFF_ORDER, entry.cof)
+        assert monic.elem is entry.elem and monic.cof is entry.cof
+
+    def test_cofactors_expand_over_q_a_with_non_monic_heads(self):
+        # u = generator 0, v = generator 1; operators x, y
+        inputs = [
+            el((A + 1, (1, 0), 1), (1, (0, 1), 0), (-1, (0, 0), 0)),
+            el((2 * A, (0, 1), 1), (1, (1, 0), 0)),
+            el((1 / (A + 1), (1, 1), 0), (-A, (0, 0), 1)),
+        ]
+        assert all(g.leading_term(DIFF_ORDER)[1] != 1 for g in inputs)
+        gb = buchberger(inputs, DIFF_ORDER, track_cofactors=True)
+        assert len(gb) > 1
+        for g, cof in zip(gb.elements, gb.cofactors):
+            assert g.leading_term(DIFF_ORDER)[1] == 1
+            assert combine(cof, inputs) == g
+        assert is_groebner_basis(list(gb.elements), DIFF_ORDER)
+        assert all(not normal_form(g, list(gb.elements), DIFF_ORDER) for g in inputs)
+
+    @pytest.mark.parametrize("scale", _SCALES, ids=str)
+    def test_scaled_published_completion(self, scale):
+        # scaling the inputs changes neither the basis nor a pair of the trace
+        scaled = [g.scaled(scale) for g in FORWARD_INPUTS]
+        records, want = [], []
+        gb = buchberger(scaled, SIGMA_ORDER, trace=lambda *pair: records.append(pair))
+        published = buchberger(FORWARD_INPUTS, SIGMA_ORDER, trace=lambda *pair: want.append(pair))
+        assert gb == published and records == want
+        basis = [g.scaled(scale) for g in FORWARD_BASIS]
+        assert is_groebner_basis(basis, SIGMA_ORDER) and _reference_is_groebner(basis, SIGMA_ORDER)
+
+    @given(inputs=_reduction_inputs(), scale=st.sampled_from(_SCALES))
+    def test_non_monic_inputs_give_the_same_results(self, inputs, scale):
+        f, basis, order = inputs
+        scaled = [g.scaled(scale) for g in basis]
+        want = _reference_s_poly(basis[0], basis[-1], order)
+        assert s_polynomial(basis[0], basis[-1], order) == want
+        assert s_polynomial(scaled[0], scaled[-1], order) == want
+        want = _reference_reduce(f, None, _originals(basis, order), order, True, [])[0]
+        assert normal_form(f, basis, order) == want == normal_form(f, scaled, order)
+        want = _reference_is_groebner(basis, order)
+        assert is_groebner_basis(basis, order) == want == is_groebner_basis(scaled, order)
