@@ -108,6 +108,8 @@ def _mul(a: _Poly, b: _Poly) -> _Poly:
         return ()
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
+        if not ca:  # a sparse factor such as a^k costs only its nonzero terms
+            continue
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return _trim(out)

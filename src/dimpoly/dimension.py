@@ -378,28 +378,36 @@ def _exponents_up_to(n: int, r: int):
             yield (k,) + rest
 
 
-def _grid_up_to(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """All exponent vectors of sum <= r as an (N, n) int32 array, and their
-    sums.  Each level appends one column: a row of sum s repeats once for
-    every last exponent 0..r - s."""
-    grid = np.zeros((1, 0), dtype=np.int32)
+def _grid_up_to(n: int, r: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """All N = C(r + n, n) exponent vectors of sum <= r as n contiguous int32
+    columns (row i of the grid reads columns[c][i] across c), and their sums.
+
+    Each level appends one column: a row of sum s repeats once for every last
+    exponent 0..r - s.  The cost is n levels of repeats over at most N rows,
+    and the columns plus sums hold 4(n + 1)N bytes.
+    """
+    columns: list[np.ndarray] = []
     sums = np.zeros(1, dtype=np.int32)
-    for width in range(1, n + 1):
+    for _ in range(n):
         reps = r + 1 - sums
         last = np.arange(int(reps.sum()), dtype=np.int32)
         last -= np.repeat(np.cumsum(reps, dtype=np.int32) - reps, reps)
-        wider = np.empty((len(last), width), dtype=np.int32)
-        for c in range(width - 1):  # column by column, so no grid-sized temporary
-            wider[:, c] = np.repeat(grid[:, c], reps)
-        wider[:, -1] = last
+        for c, column in enumerate(columns):  # one at a time, freeing the shorter one
+            columns[c] = np.repeat(column, reps)
+        columns.append(last)
         sums = np.repeat(sums, reps)
         sums += last
-        grid = wider
-    return grid, sums
+    return columns, sums
 
 
 def free_term_counts(stair: Staircase, r_max: int) -> list[int]:
     """Oracle counts for every r in 0..r_max, from one shared enumeration.
+
+    A term is blocked by a staircase vector v when it is >= v in every
+    column, which only needs testing on the columns where v is nonzero.  So
+    the cost past the grid is one comparison pass over the N rows per
+    nonzero exponent of each vector of order <= r_max; a higher vector
+    divides no term of the grid, and a zero vector blocks all of them.
 
     Raises OracleBudgetExceeded before allocating when the enumeration would
     hold more than MAX_ORACLE_ROWS exponent vectors.
@@ -412,13 +420,20 @@ def free_term_counts(stair: Staircase, r_max: int) -> list[int]:
             f"the counting oracle up to r={r_max} over {stair.n} operators needs "
             f"{rows} rows, more than the limit of {MAX_ORACLE_ROWS}"
         )
-    grid, sums = _grid_up_to(stair.n, r_max)
+    columns, sums = _grid_up_to(stair.n, r_max)
     per_sum = np.zeros(r_max + 1, dtype=np.int64)
     for antichain in stair.per_generator:
-        blocked = np.zeros(len(grid), dtype=bool)
+        if not all(any(v) for v in antichain):
+            continue  # the unit ideal: every term is blocked
+        blocked = np.zeros(len(sums), dtype=bool)
         for v in antichain:
-            if sum(v) <= r_max:  # a higher vector divides no term of the grid
-                blocked |= (grid >= np.asarray(v, dtype=np.int32)).all(axis=1)
+            if sum(v) > r_max:
+                continue
+            (c, e), *rest = [(c, e) for c, e in enumerate(v) if e]
+            hit = columns[c] >= e
+            for c, e in rest:
+                hit &= columns[c] >= e
+            blocked |= hit
         per_sum += np.bincount(sums[~blocked], minlength=r_max + 1)
     return np.cumsum(per_sum).tolist()
 

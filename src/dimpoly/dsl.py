@@ -15,7 +15,9 @@ normalized to ``lhs - rhs``.  Coefficient literals are integers, fractions
 parameter with nonnegative integer ``^``.  Operator exponents may be negative
 only when the kind is ``inversive``.  Parentheses nest at most
 ``MAX_NESTING`` deep, integer literals have at most ``MAX_DIGITS`` digits,
-coefficient powers are at most ``MAX_EXPONENT`` and the exponent of each
+coefficient powers and the degree in the parameter of every coefficient's
+numerator and denominator (bounded from the operands before a power, product
+or quotient is computed) are at most ``MAX_EXPONENT``, and the exponent of each
 operator in a term, summed over its factors, at most
 ``MAX_OPERATOR_EXPONENT`` in absolute value; input beyond a limit is a
 :class:`DslError`.
@@ -142,9 +144,11 @@ class _ExprParser:
     def parse_relation(self) -> Element:
         left = self.parse_sum(module=True)
         if self.peek().kind == "SYM" and self.peek().text == "=":
-            self.take()
+            eq = self.take()
             right = self.parse_sum(module=True)
             left = left - right
+            for c in left.terms.values():
+                _check_degree(_degrees(c), eq)
         self._expect_end()
         return left
 
@@ -161,7 +165,12 @@ class _ExprParser:
             self.take()
             sign = -1 if tok.text == "-" else 1
         while True:
-            total = total + self.parse_product(module, sign)
+            start = self.peek()
+            part = self.parse_product(module, sign)
+            total = total + part
+            merged = (total.terms.get(t, 0) for t in part.terms) if module else (total,)
+            for c in merged:
+                _check_degree(_degrees(c), start)
             tok = self.peek()
             if not (tok.kind == "SYM" and tok.text in "+-"):
                 return total
@@ -179,10 +188,14 @@ class _ExprParser:
                 value, _ = self.parse_factor(module=False)
                 if not value:
                     raise DslError("division by zero", tok.line, tok.col)
+                (n1, d1), (n2, d2) = _degrees(coeff), _degrees(value)
+                _check_degree((n1 + d2, d1 + n2), tok)
                 coeff = coeff / value
             else:
                 value, kind_tag = self.parse_factor(module)
                 if kind_tag == "coeff":
+                    (n1, d1), (n2, d2) = _degrees(coeff), _degrees(value)
+                    _check_degree((n1 + n2, d1 + d2), tok)
                     coeff = coeff * value
                 elif kind_tag == "op":
                     op_index, power = value
@@ -245,8 +258,12 @@ class _ExprParser:
             raise DslError(f"undeclared {what} {name!r}", tok.line, tok.col)
         else:
             raise DslError(f"unexpected {tok.text or 'end of line'!r}", tok.line, tok.col)
+        caret = self.peek()
         k = self._read_power(signed=False)
-        return (base if k == 1 else base**k), "coeff"
+        if k == 1:
+            return base, "coeff"
+        _check_degree(tuple(k * d for d in _degrees(base)), caret)
+        return base**k, "coeff"
 
     def _read_power(self, *, signed: bool) -> int:
         nxt = self.peek()
@@ -270,6 +287,24 @@ class _ExprParser:
         if abs(value) > limit:
             raise DslError(f"{what} {value} exceeds the limit of {limit}", num.line, num.col)
         return value
+
+
+def _degrees(c: Coeff) -> tuple[int, int]:
+    """Numerator and denominator degree of a coefficient in the parameter."""
+    if isinstance(c, RationalFunction):
+        return len(c.num) - 1, len(c.den) - 1
+    return 0, 0
+
+
+def _check_degree(degrees: tuple[int, int], tok: _Tok) -> None:
+    """Refuse a coefficient whose numerator or denominator could exceed
+    degree MAX_EXPONENT; checked on operand degrees before a power, product
+    or quotient is computed, and on a sum once it is formed."""
+    worst = max(degrees)
+    if worst > MAX_EXPONENT:
+        raise DslError(
+            f"coefficient degree {worst} exceeds the limit of {MAX_EXPONENT}", tok.line, tok.col
+        )
 
 
 def parse_coefficient(text: str, parameter: str | None = None) -> Coeff:

@@ -315,6 +315,31 @@ def test_validity_threshold_is_sharp(maxwell_forward, maxwell_symmetric, potenti
                 assert doc.dim.polynomial(r0 - 1) != below, (name, scheme_name)
 
 
+def test_low_order_counts_pinned(maxwell_forward, maxwell_symmetric, potential_forward):
+    # exact oracle counts from order 0 on the six scheme staircases, below
+    # the validity threshold too; from the threshold on they are the
+    # polynomial's values
+    cached = {
+        ("maxwell", "forward"): maxwell_forward[0],
+        ("maxwell", "symmetric"): maxwell_symmetric[0],
+        ("potential", "forward"): potential_forward[0],
+    }
+    want = {
+        ("maxwell", "forward"): [12, 100, 422, 1230],
+        ("maxwell", "symmetric"): [12, 100, 422, 1238],
+        ("potential", "forward"): [4, 35, 151, 440, 992],
+        ("potential", "symmetric"): [4, 35, 151, 440, 1000],
+        ("diffusion", "forward"): [1, 5, 10],
+        ("diffusion", "symmetric"): [1, 4, 8],
+    }
+    for (name, scheme_name), expected in want.items():
+        doc = cached.get((name, scheme_name)) or timed_compute(name, scheme_name)[0]
+        counts = free_term_counts(doc.staircase, len(expected) - 1)
+        assert counts == expected, (name, scheme_name)
+        r0 = doc.dim.validity_threshold
+        assert all(doc.dim.polynomial(r) == counts[r] for r in range(r0, len(counts)))
+
+
 def test_completion_counters_pinned(maxwell_forward, maxwell_symmetric, potential_forward):
     # pairs formed and completed sizes on the nine built-in cases; the chain
     # criterion prunes pairs without changing either

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -149,6 +150,24 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "coefficient,message",
+        [
+            ("((a+1)^100)^100", "line 5, column 18: coefficient degree 10000"),
+            ("*".join(["(a+1)^100"] * 16), "line 5, column 17: coefficient degree 200"),
+        ],
+        ids=["nested-power", "sixteen-factors"],
+    )
+    def test_coefficient_degree_exits_1(self, capsys, tmp_path, coefficient, message):
+        # refused from the operands' degrees, before the arithmetic runs
+        path = tmp_path / "bad.sys"
+        path.write_text(DIFFUSION_SRC.replace("a * x^2", coefficient + "*x^2"))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "compute", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err == f"error: {message} exceeds the limit of 100\n"
 
     def test_parse_error_position(self, capsys, tmp_path):
         path = tmp_path / "bad.sys"

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -397,6 +398,8 @@ polys = st.lists(small, max_size=5).map(_trim_reference)
 # c * prod(a - r) over few roots, so that gcds are often nontrivial
 factored = st.builds(from_roots, small.filter(bool), roots)
 nonzero_polys = st.one_of(polys, factored).filter(bool)
+# mostly zero coefficients, zeros inside as well as at the low end
+sparse_polys = st.lists(st.one_of(st.just(Fraction(0)), small), max_size=9).map(_trim_reference)
 
 
 @st.composite
@@ -463,3 +466,19 @@ class TestKernel:
         assert x.den == y.den
         args = ("a", x.num, x.den, y.num, y.den)
         assert_canonical(_sum(*args), _sum_reference(*args))
+
+    @given(a=sparse_polys, b=sparse_polys)
+    @example(a=(Fraction(0), Fraction(0), Fraction(1)), b=(Fraction(2), Fraction(0), Fraction(0), Fraction(3)))
+    def test_mul_of_sparse_factors_is_the_dense_product(self, a, b):
+        for x, y in ((a, b), (b, a)):
+            product = _mul(x, y)
+            assert product == _trim_reference(pmul(list(x), list(y)))
+            assert all(type(c) is Fraction for c in product)
+
+    def test_sparse_power(self):
+        # square-and-multiply on a^k multiplies factors with one nonzero
+        # coefficient each; 1,601-coefficient dense products took seconds
+        start = time.perf_counter()
+        power = A**1600
+        assert power == RationalFunction("a", (0,) * 1600 + (1,))
+        assert time.perf_counter() - start < 1

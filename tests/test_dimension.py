@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,6 +27,8 @@ from dimpoly import (
 )
 from dimpoly.dimension import (
     MAX_ORACLE_ROWS,
+    _exponents_up_to,
+    _grid_up_to,
     binomial_poly,
     free_term_count_oracle,
     lagrange_interpolate,
@@ -220,11 +223,66 @@ def staircases(draw, max_n=4, max_vectors=8):
     return Staircase.build(gens, n)
 
 
+@st.composite
+def sparse_staircases(draw):
+    """Staircases at the doubled-ring shape of the scheme cases: up to eight
+    operators, each vector with at most three nonzero exponents."""
+    n = draw(st.integers(1, 8))
+    support = st.lists(st.integers(0, n - 1), max_size=3, unique=True)
+    exponents = st.lists(st.integers(1, 4), min_size=3, max_size=3)
+
+    def vector(cols, es):
+        v = [0] * n
+        for c, e in zip(cols, es):
+            v[c] = e
+        return tuple(v)
+
+    vectors = st.builds(vector, support, exponents)
+    gens = draw(st.lists(st.lists(vectors, max_size=6), min_size=1, max_size=2))
+    return Staircase.build(gens, n)
+
+
 class TestOracleTable:
     @given(staircases(), st.integers(0, 8))
     def test_equals_single_counts(self, stair, r_max):
         counts = free_term_counts(stair, r_max)
         assert counts == [free_term_count_oracle(stair, r) for r in range(r_max + 1)]
+
+    @given(sparse_staircases(), st.integers(0, 6))
+    def test_doubled_ring_shape(self, stair, r_max):
+        counts = free_term_counts(stair, r_max)
+        assert counts == [free_term_count_oracle(stair, r) for r in range(r_max + 1)]
+
+    def test_zero_vector_blocks_every_row(self):
+        zero = (0,) * 8
+        stair = Staircase.build([[zero, (1,) + (0,) * 7]], 8)
+        assert free_term_counts(stair, 4) == [0] * 5
+        # another generator's free terms are still counted
+        stair = Staircase.build([[zero], [(0,) * 7 + (1,)]], 8)
+        assert free_term_counts(stair, 4) == [math.comb(r + 7, 7) for r in range(5)]
+
+    def test_no_operators(self):
+        # one term, the empty product, at every order
+        assert free_term_counts(Staircase.build([[], []], 0), 3) == [2] * 4
+        assert free_term_counts(Staircase.build([[()]], 0), 3) == [0] * 4
+        assert free_term_count_oracle(Staircase.build([[]], 0), 3) == 1
+
+    def test_vectors_above_r_max_block_nothing(self):
+        stair = Staircase.build([[(5, 0, 0), (0, 2, 2), (1, 1, 1)]], 3)
+        free = [math.comb(r + 3, 3) for r in range(5)]
+        assert free_term_counts(stair, 2) == free[:3]
+        assert free_term_counts(stair, 4) == [free_term_count_oracle(stair, r) for r in range(5)]
+        assert free_term_counts(stair, 4)[3] == free[3] - 1
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_grid_rows(self, n):
+        for r in range(6):
+            columns, sums = _grid_up_to(n, r)
+            assert len(columns) == n and len(sums) == math.comb(r + n, n)
+            assert all(c.dtype == np.int32 and c.flags.c_contiguous for c in columns)
+            rows = [tuple(int(c[i]) for c in columns) for i in range(len(sums))]
+            assert sorted(rows) == sorted(_exponents_up_to(n, r))
+            assert sums.tolist() == [sum(row) for row in rows]
 
 
 class TestHilbertNumerator:

@@ -160,6 +160,12 @@ class TestExpressionTable:
             ("t*u = = u", "line 5, column 7: unexpected '='"),
             ("x*u - a^1600*u", "line 5, column 9: coefficient power 1600 exceeds the limit of 100"),
             ("(a+1)^101*u", "line 5, column 7: coefficient power 101 exceeds the limit of 100"),
+            ("((a+1)^100)^20*u", "line 5, column 12: coefficient degree 2000 exceeds the limit of 100"),
+            ("(a+1)^100*(a+1)^100*u", "line 5, column 11: coefficient degree 200 exceeds the limit of 100"),
+            ("u/(a+1)^100/(a-1)", "line 5, column 13: coefficient degree 101 exceeds the limit of 100"),
+            ("(a^100+1/(a+1))*u", "line 5, column 8: coefficient degree 101 exceeds the limit of 100"),
+            ("u/(a+1)^60 + u/(a-1)^60", "line 5, column 14: coefficient degree 120 exceeds the limit of 100"),
+            ("u/(a+1)^60 = u/(a-1)^60", "line 5, column 12: coefficient degree 120 exceeds the limit of 100"),
             ("x^1000000*u - t*u", "line 5, column 3: operator exponent 1000000 exceeds the limit of 100000"),
             (
                 "x^100000*x^100000*u",
@@ -199,6 +205,7 @@ class TestExpressionTable:
             ("inversive", "x^-2*t*u", "x^-2*t*u"),
             ("differential", "x^100000*u - a^100*v", "x^100000*u - a^100*v"),
             ("differential", "x^60000*t*x^40000*u", "x^100000*t*u"),
+            ("differential", "a^50*a^50*u - (a^100+1)/a^100*v", "-((a^100+1)/a^100)*v + a^100*u"),
             ("inversive", "x^100000*x^-100000*x^-100000*u", "x^-100000*u"),
             pytest.param("differential", "9" * 1000 + "*u", "9" * 1000 + "*u", id="coefficient-1000-digits"),
             pytest.param("differential", "(" * 100 + "2" + ")" * 100 + "*u", "2*u", id="nesting-100"),
