@@ -378,20 +378,36 @@ def _exponents_up_to(n: int, r: int):
             yield (k,) + rest
 
 
+def _grid_dtype(r: int) -> type:
+    """The narrowest integer type that holds every exponent and sum up to r."""
+    return np.int8 if r < 1 << 7 else np.int16 if r < 1 << 15 else np.int32
+
+
 def _grid_up_to(n: int, r: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """All N = C(r + n, n) exponent vectors of sum <= r as n contiguous int32
-    columns (row i of the grid reads columns[c][i] across c), and their sums.
+    """All N = C(r + n, n) exponent vectors of sum <= r as n contiguous
+    columns (row i of the grid reads columns[c][i] across c), and their sums,
+    all of :func:`_grid_dtype` (r).
 
     Each level appends one column: a row of sum s repeats once for every last
-    exponent 0..r - s.  The cost is n levels of repeats over at most N rows,
-    and the columns plus sums hold 4(n + 1)N bytes.
+    exponent 0..r - s.  The repeat counts and block starts are np.intp, so
+    r + 1 - s cannot overflow the narrow type.  The last column counts up
+    within each block by a cumulative sum of steps that are 1 except at a
+    block start, where the step drops back by the previous block's length;
+    every partial sum lies in 0..r.  The cost is n levels of repeats over at
+    most N rows, and the columns plus sums hold (n + 1)N items of 1, 2 or 4
+    bytes.
     """
+    dtype = _grid_dtype(r)
     columns: list[np.ndarray] = []
-    sums = np.zeros(1, dtype=np.int32)
+    sums = np.zeros(1, dtype=dtype)
     for _ in range(n):
-        reps = r + 1 - sums
-        last = np.arange(int(reps.sum()), dtype=np.int32)
-        last -= np.repeat(np.cumsum(reps, dtype=np.int32) - reps, reps)
+        reps = np.subtract(r + 1, sums, dtype=np.intp)
+        starts = np.cumsum(reps) - reps
+        last = np.ones(int(starts[-1] + reps[-1]), dtype=dtype)
+        last[0] = 0
+        last[starts[1:]] = 1 - reps[:-1]
+        np.cumsum(last, out=last)
+        del starts
         for c, column in enumerate(columns):  # one at a time, freeing the shorter one
             columns[c] = np.repeat(column, reps)
         columns.append(last)

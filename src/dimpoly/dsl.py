@@ -158,7 +158,10 @@ class _ExprParser:
             raise DslError(f"unexpected {tok.text!r}", tok.line, tok.col)
 
     def parse_sum(self, module: bool):
-        total = Element() if module else Fraction(0)
+        # a module sum collects its terms in one dict, so parsing is linear
+        # in the number of terms; the Element is built once at the end
+        terms: dict[Term, Coeff] = {}
+        total: Coeff = Fraction(0)
         sign = 1
         tok = self.peek()
         if tok.kind == "SYM" and tok.text in "+-":
@@ -167,13 +170,21 @@ class _ExprParser:
         while True:
             start = self.peek()
             part = self.parse_product(module, sign)
-            total = total + part
-            merged = (total.terms.get(t, 0) for t in part.terms) if module else (total,)
-            for c in merged:
-                _check_degree(_degrees(c), start)
+            if module:
+                for t, c in part.terms.items():
+                    if t in terms:
+                        c = terms[t] + c
+                    _check_degree(_degrees(c), start)
+                    if c:
+                        terms[t] = c
+                    else:
+                        terms.pop(t, None)
+            else:
+                total = total + part
+                _check_degree(_degrees(total), start)
             tok = self.peek()
             if not (tok.kind == "SYM" and tok.text in "+-"):
-                return total
+                return Element(terms) if module else total
             self.take()
             sign = -1 if tok.text == "-" else 1
 

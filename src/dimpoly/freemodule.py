@@ -92,7 +92,7 @@ class TermOrder:
 class Element:
     """Finite K-linear combination of terms; the zero element is empty."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Mapping[Term, Coeff] | None = None):
         collected: dict[Term, Coeff] = {}
@@ -125,7 +125,14 @@ class Element:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # computed once: pooled elements are hashed again by every report
+        # part that holds them (see interned)
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(frozenset(self.terms.items()))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __add__(self, other: "Element") -> "Element":
         out = dict(self.terms)

@@ -1,28 +1,55 @@
 """Reduction, S-polynomials, and Buchberger completion in free modules over
 commutative operator rings.
 
+Inside completion a term is one Python int.  For an order with n operators
+the int has n + 2 fields of ``FIELD_BITS`` bits; from the top they hold the
+total order, the generator, and the exponents in ``order.sequence``:
+
+    [ total | gen | e[sequence[0]] | ... | e[sequence[n - 1]] ]
+
+This is :meth:`TermOrder.key` written in base 2**FIELD_BITS, so comparing
+two packed terms compares their keys.  The top bit of every field is a guard
+bit and is always 0 in a packed term, so every field stays below
+2**(FIELD_BITS - 1).  Shifting a term by an operator monomial is one
+addition, and the shift that carries lt(g) to t is ``t - lt(g)`` itself.
+With G the mask of all guard bits, ``((t | G) - lt(g)) & G == G`` is true
+iff no field of lt(g) exceeds the same field of t: each field then
+subtracts without borrowing from the next one, and its guard survives.
+On one generator that is "lt(g) divides t".  Packing refuses a negative
+exponent, a generator index or a total order at or above
+2**(FIELD_BITS - 1) with a ValueError that names the term.  Packed inputs
+and S-polynomial lcms are checked this way.  Reduction never raises a total
+above its leading term's, so no later sum can carry into a guard bit.
+Elements leave this module unpacked, as :class:`Element` with ``Fraction``
+or :class:`RationalFunction` coefficients.  Inside, an integral
+``Fraction`` is held as the ``int`` it equals, because int arithmetic is
+several times cheaper.
+
 Every rewrite goes through one reducer, :func:`_reduce`.  It works over
-:class:`_Tracked` entries, which hold each basis element made monic when it
-enters, with its leading term cached, and it always takes the first divisor
-in list order; the published reduction chains of the worked examples
-depend on that rule.  It changes the remainder in place: one term ->
-coefficient dict, with its terms in a heap keyed by the negated
-:meth:`TermOrder.key`, computed once per term, so the leading term is the
-heap top; a cancelled term's entry is skipped when popped (lazy deletion).  In
-head mode (:func:`reduce_element`, the completion loop, the Groebner test) it
-stops at the first irreducible leading term.  In full mode
-(:func:`normal_form`, :func:`autoreduce`) it sets that term aside and keeps
-reducing the tail.  When given a cofactor vector it updates it with every
-step, so each completed element can be expressed over the input list.
-A cofactor vector is itself an :class:`Element`, of the free module whose
-generator i stands for the i-th input (zero inputs keep their position), and
-it takes the same monomial shifts, scalings and differences as the element it
-tracks; ``combine(cof, inputs)`` from :mod:`dimpoly.freemodule` expands it
-back to that element.  A monic entry makes an S-polynomial a plain
-difference of shifts and a reduction factor the coefficient being cancelled,
-so a leading coefficient is divided out once per entry instead of in every
-pair and step.  S-polynomials and reductions do not change when an element
-is multiplied by a nonzero constant, so this leaves every result as it is.
+:class:`_Tracked` entries.  Each entry holds a basis element made monic when
+it enters, as its packed leading term and the packed rows of its other
+terms.  The reducer always takes the first divisor in list order, scanning
+only the entries on the term's generator; the published reduction chains of
+the worked examples depend on that rule.  It changes the remainder in place:
+one packed term -> coefficient dict, with its terms in a heap of negated
+packed terms, so the leading term is the heap top; a cancelled term's entry
+is skipped when popped (lazy deletion).  In head mode
+(:func:`reduce_element`, the completion loop, the Groebner test) it stops at
+the first irreducible leading term.  In full mode (:func:`normal_form`,
+:func:`autoreduce`) it sets that term aside and keeps reducing the tail.
+When given a cofactor vector it updates it with every step, so each
+completed element can be expressed over the input list.  A cofactor vector
+is itself an :class:`Element`, of the free module whose generator i stands
+for the i-th input (zero inputs keep their position), and it takes the same
+monomial shifts, scalings and differences as the element it tracks;
+``combine(cof, inputs)`` from :mod:`dimpoly.freemodule` expands it back to
+that element.  Cofactor orders are not bounded by the element's, so
+cofactors stay unpacked.  A monic entry makes an S-polynomial a plain
+difference of shifts and a reduction factor the coefficient being
+cancelled, so a leading coefficient is divided out once per entry instead of
+in every pair and step.  S-polynomials and reductions do not change when an
+element is multiplied by a nonzero constant, so this leaves every result as
+it is.
 
 :func:`autoreduce` also makes every element monic and sorts the basis into a
 deterministic canonical form.
@@ -45,14 +72,17 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import neg
+from fractions import Fraction
+from functools import lru_cache
+from operator import lshift
 from typing import Callable, Iterable, Sequence
 
 from .coefficients import Coeff, inverse
-from .freemodule import Element, Term, TermOrder, apply_monomial, divides, quotient, shared
+from .freemodule import Element, Term, TermOrder, apply_monomial, shared
 
 __all__ = [
     "CompletionBudgetExceeded",
+    "FIELD_BITS",
     "GroebnerBasis",
     "MAX_PAIRS_FORMED",
     "autoreduce",
@@ -67,6 +97,11 @@ __all__ = [
 # built-in (the potential forward scheme) forms 327.
 MAX_PAIRS_FORMED = 100_000
 
+# Width of each field of a packed term, guard bit included.
+FIELD_BITS = 32
+_LIMIT = 1 << (FIELD_BITS - 1)
+_MASK = (1 << FIELD_BITS) - 1
+
 
 class CompletionBudgetExceeded(ValueError):
     """Completion would form more than ``MAX_PAIRS_FORMED`` critical pairs."""
@@ -74,7 +109,10 @@ class CompletionBudgetExceeded(ValueError):
 
 def s_polynomial(g1: Element, g2: Element, order: TermOrder) -> Element:
     """S-polynomial of g1 and g2; zero when the leading generators differ."""
-    return _s_poly(_Tracked(g1, order), _Tracked(g2, order))[0]
+    a, b = _Tracked(g1, order), _Tracked(g2, order)
+    if a.lt.gen != b.lt.gen:
+        return Element()
+    return a.layout.element(_s_poly(a, b, _lcm(a, b))[0])
 
 
 def reduce_element(f: Element, basis: Sequence[Element], order: TermOrder) -> Element:
@@ -123,94 +161,187 @@ class GroebnerBasis:
         return [g.leading_term(self.order)[0] for g in self.elements]
 
 
+class _Layout:
+    """Packing of the terms of one ``order.sequence`` (see the module
+    docstring): ``shifts[i]`` is the bit offset of operator i's field."""
+
+    __slots__ = ("shifts", "gen_shift", "guards")
+
+    def __init__(self, sequence: tuple[int, ...]):
+        n = len(sequence)
+        shifts = [0] * n
+        for k, i in enumerate(sequence):
+            shifts[i] = FIELD_BITS * (n - 1 - k)
+        self.shifts = tuple(shifts)
+        self.gen_shift = FIELD_BITS * n
+        self.guards = sum(_LIMIT << (FIELD_BITS * k) for k in range(n + 2))
+
+    def pack(self, t: Term) -> int:
+        exps = t.exps
+        if min(exps, default=0) < 0:
+            raise ValueError(f"cannot pack term {t}: negative exponent")
+        total = sum(exps)
+        if total >= _LIMIT or not 0 <= t.gen < _LIMIT:
+            raise ValueError(
+                f"cannot pack term {t}: total order and generator index must be "
+                f"below 2**{FIELD_BITS - 1}"
+            )
+        return (total << FIELD_BITS | t.gen) << self.gen_shift | sum(map(lshift, exps, self.shifts))
+
+    def exps(self, packed: int) -> tuple[int, ...]:
+        return tuple((packed >> shift) & _MASK for shift in self.shifts)
+
+    def unpack(self, packed: int) -> Term:
+        return Term((packed >> self.gen_shift) & _MASK, self.exps(packed))
+
+    def divides(self, s: int, t: int) -> bool:
+        """True iff packed s divides packed t: the same generator, and the
+        guard-bit test on every field."""
+        g = self.guards
+        return not ((s ^ t) >> self.gen_shift) & _MASK and ((t | g) - s) & g == g
+
+    def rows(self, f: Element) -> dict[int, Coeff]:
+        """The terms of f packed, an integral Fraction as its int."""
+        return {self.pack(t): _small(c) for t, c in f.terms.items()}
+
+    def element(self, rows: dict[int, Coeff]) -> Element:
+        return Element({self.unpack(t): c for t, c in rows.items()})
+
+
+@lru_cache(maxsize=64)
+def _layout(sequence: tuple[int, ...]) -> _Layout:
+    return _Layout(sequence)
+
+
+def _small(c: Coeff) -> Coeff:
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 class _Tracked:
-    """Working pair of (element, cofactor vector) inside the completion, both
-    scaled by the inverse leading coefficient so that the element is monic,
-    with the element's leading term."""
+    """One basis element inside the completion, made monic: its leading term
+    as ``lt`` and packed as ``head``, the packed rows of its other terms as
+    ``tail``, and its cofactor vector, scaled alike."""
 
-    __slots__ = ("elem", "lt", "cof")
+    __slots__ = ("layout", "lt", "head", "tail", "cof")
 
-    def __init__(self, elem: Element, order: TermOrder, cof=None):
-        self.lt, lc = elem.leading_term(order)
+    def __init__(self, elem: Element | dict[int, Coeff], order: TermOrder, cof=None):
+        """``elem`` is an Element or packed rows (see :func:`_reduce`)."""
+        self.layout = _layout(order.sequence)
+        rows = elem if isinstance(elem, dict) else self.layout.rows(elem)
+        self.head = max(rows)
+        self.lt = self.layout.unpack(self.head)
+        lc = rows[self.head]
         if lc != 1:
             inv = inverse(lc)
-            elem = elem.scaled(inv)
+            rows = {t: c * inv for t, c in rows.items()}
             cof = cof and cof.scaled(inv)
-        self.elem = elem
+        self.tail = tuple((t, _small(c)) for t, c in rows.items() if t != self.head)
         self.cof = cof
+
+    @property
+    def elem(self) -> Element:
+        """The monic element, unpacked."""
+        return self.layout.element({self.head: 1, **dict(self.tail)})
 
 
 def _track(basis: Sequence[Element], order: TermOrder) -> list[_Tracked]:
     return [_Tracked(g, order) for g in basis if g]
 
 
-def _s_poly(a: _Tracked, b: _Tracked):
-    """S-polynomial of two entries and, when tracked, its cofactor vector."""
-    if a.lt.gen != b.lt.gen:
-        return Element(), None
-    lcm = tuple(max(x, y) for x, y in zip(a.lt.exps, b.lt.exps))
-    u1 = tuple(l - x for l, x in zip(lcm, a.lt.exps))
-    u2 = tuple(l - x for l, x in zip(lcm, b.lt.exps))
-    s = apply_monomial(u1, a.elem) - apply_monomial(u2, b.elem)
+def _lcm(a: _Tracked, b: _Tracked) -> int:
+    """Packed lcm of the leading terms of two entries on one generator."""
+    return a.layout.pack(Term(a.lt.gen, tuple(map(max, a.lt.exps, b.lt.exps))))
+
+
+def _s_poly(a: _Tracked, b: _Tracked, lcm: int):
+    """Packed S-polynomial of two entries on one generator, given the packed
+    lcm of their leading terms, and, when tracked, its cofactor vector.  The
+    leading terms cancel and are never formed."""
+    u1, u2 = lcm - a.head, lcm - b.head
+    s = {t + u1: c for t, c in a.tail}
+    for t, c in b.tail:
+        t += u2
+        x = s.get(t)
+        if x is None:
+            s[t] = -c
+        elif x := x - c:
+            s[t] = x
+        else:
+            del s[t]
     cof = None
     if a.cof is not None:
-        cof = apply_monomial(u1, a.cof) - apply_monomial(u2, b.cof)
+        exps = a.layout.exps
+        cof = apply_monomial(exps(u1), a.cof) - apply_monomial(exps(u2), b.cof)
     return s, cof
 
 
-def _reduce(f: Element, cof, basis: list[_Tracked], order: TermOrder, full: bool, chain=None):
+def _reduce(f, cof, basis: list[_Tracked], order: TermOrder, full: bool, chain=None):
     """The one reduction loop: rewrite f modulo ``basis``.
 
     The first entry in list order whose leading term divides the current
     leading term is used.  Head mode stops at the first irreducible leading
     term; full mode moves it to the remainder and continues with the tail.
     ``cof`` (when not None) is updated alongside, and ``chain`` (when given)
-    receives the index of each divisor used.  Returns (remainder, cof, steps).
+    receives the index of each divisor used.  Returns (remainder, cof,
+    steps).  f is an :class:`Element` or packed rows (a dict from packed
+    term to coefficient, left unchanged); the remainder comes back in the
+    same form.
 
-    The remainder is one mutable term -> coefficient dict, changed in place.
-    Its terms sit in a heap ordered by the negated ``order.key``, computed
-    once when a term enters, so the heap top is the leading term.  A term
-    that cancels is deleted from the dict and its heap entry is skipped when
-    popped (lazy deletion); a term that comes back is pushed again.  A step
-    subtracts c * x^lam * g term by term, where c is the coefficient being
-    cancelled (g is monic): O(|g| log |r|) instead of rescanning and copying
-    the whole remainder.
+    The remainder is one mutable packed term -> coefficient dict, changed in
+    place.  Its terms sit in a heap of negated packed terms, so the heap top
+    is the leading term.  A term that cancels is deleted from the dict and
+    its heap entry is skipped when popped (lazy deletion); a term that comes
+    back is pushed again.  Only the entries on the leading term's generator
+    are tested as divisors.  A step deletes the leading term and subtracts
+    c * x^lam * (tail of g) term by term, where c is the coefficient being
+    cancelled (g is monic) and lam is the packed shift: O(|g| log |r|)
+    instead of rescanning and copying the whole remainder.
     """
-    key = order.key
-    rem: dict[Term, Coeff] = dict(f.terms)
-    heap = [(tuple(map(neg, key(t))), t) for t in rem]
+    layout = _layout(order.sequence)
+    packed = isinstance(f, dict)
+    rem = dict(f) if packed else layout.rows(f)
+    heap = [-t for t in rem]
     heapq.heapify(heap)
-    done: dict[Term, Coeff] = {}
+    push, pop = heapq.heappush, heapq.heappop
+    guards, gen_shift = layout.guards, layout.gen_shift
+    divisors: dict[int, list[tuple[int, int, _Tracked]]] = {}
+    for i, g in enumerate(basis):
+        divisors.setdefault(g.lt.gen, []).append((g.head, i, g))
+    done: dict[int, Coeff] = {}
     steps = 0
     while heap:
-        t = heapq.heappop(heap)[1]
+        t = -pop(heap)
         c = rem.get(t)
         if c is None:
             continue
-        for i, g in enumerate(basis):
-            if divides(g.lt, t):
+        tg = t | guards
+        for h, i, g in divisors.get((t >> gen_shift) & _MASK, ()):
+            if (tg - h) & guards == guards:
                 break
         else:
             if not full:
                 break
             done[t] = rem.pop(t)
             continue
-        lam = quotient(t, g.lt)
-        for s, d in apply_monomial(lam, g.elem).terms.items():
+        lam = t - h
+        del rem[t]
+        for s, d in g.tail:
+            s += lam
             x = rem.get(s)
             if x is None:
                 rem[s] = -(c * d)
-                heapq.heappush(heap, (tuple(map(neg, key(s))), s))
+                push(heap, -s)
             elif x := x - c * d:
                 rem[s] = x
             else:
                 del rem[s]
         if cof is not None:
-            cof = cof - apply_monomial(lam, g.cof).scaled(c)
+            cof = cof - apply_monomial(layout.exps(lam), g.cof).scaled(c)
         if chain is not None:
             chain.append(i)
         steps += 1
-    return Element(done if full else rem), cof, steps
+    rem = done if full else rem
+    return (rem if packed else layout.element(rem)), cof, steps
 
 
 def buchberger(
@@ -238,9 +369,12 @@ def buchberger(
         for i, g in enumerate(generators)
         if g
     ]
+    layout = _layout(order.sequence)
 
-    heap: list[tuple[int, int, int, int]] = []
+    # (lcm total order, insertion index, i, j, packed lcm)
+    heap: list[tuple[int, int, int, int, int]] = []
     formed = 0
+    total_shift = layout.gen_shift + FIELD_BITS
 
     def push_pairs(j: int):
         nonlocal formed
@@ -250,8 +384,8 @@ def buchberger(
                     raise CompletionBudgetExceeded(
                         f"completion would form more than {MAX_PAIRS_FORMED} pairs"
                     )
-                lcm_deg = sum(max(a, b) for a, b in zip(basis[i].lt.exps, basis[j].lt.exps))
-                heapq.heappush(heap, (lcm_deg, formed, i, j))
+                lcm = _lcm(basis[i], basis[j])
+                heapq.heappush(heap, (lcm >> total_shift, formed, i, j, lcm))
                 formed += 1
 
     for j in range(len(basis)):
@@ -260,22 +394,22 @@ def buchberger(
     handled: set[tuple[int, int]] = set()
     pairs_processed = pairs_pruned = reduction_steps = 0
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, _, i, j, lcm = heapq.heappop(heap)
         pairs_processed += 1
         handled.add((i, j))
-        if trace is None and _chain_redundant(basis, handled, i, j):
+        if trace is None and _chain_redundant(basis, handled, i, j, lcm):
             pairs_pruned += 1
             continue
-        s, cof = _s_poly(basis[i], basis[j])
+        s, cof = _s_poly(basis[i], basis[j], lcm)
         if not s:
             if trace:
-                trace(i, j, s, None, None)
+                trace(i, j, Element(), None, None)
             continue
         chain: list[int] | None = [] if trace else None
         r, cof, steps = _reduce(s, cof, basis, order, full=False, chain=chain)
         reduction_steps += steps
         if trace:
-            trace(i, j, s, chain, len(basis) if r else None)
+            trace(i, j, layout.element(s), chain, len(basis) if r else None)
         if r:
             basis.append(_Tracked(r, order, cof))
             push_pairs(len(basis) - 1)
@@ -293,16 +427,20 @@ def buchberger(
     )
 
 
-def _chain_redundant(basis: list[_Tracked], handled: set[tuple[int, int]], i: int, j: int) -> bool:
-    """Chain criterion for pair (i, j), i < j: some k other than i and j has
-    lt_k dividing lcm(lt_i, lt_j), and (i, k) and (k, j) are handled."""
-    a, b = basis[i].lt, basis[j].lt
-    lcm = Term(a.gen, tuple(map(max, a.exps, b.exps)))
+def _chain_redundant(
+    basis: list[_Tracked], handled: set[tuple[int, int]], i: int, j: int, lcm: int
+) -> bool:
+    """Chain criterion for pair (i, j), i < j, with packed lcm(lt_i, lt_j):
+    some k other than i and j has lt_k dividing it, and (i, k) and (k, j)
+    are handled."""
+    gen, guards = basis[i].lt.gen, basis[i].layout.guards
+    lcm |= guards
     for k, g in enumerate(basis):
         if (
-            k != i
+            g.lt.gen == gen
+            and (lcm - g.head) & guards == guards
+            and k != i
             and k != j
-            and divides(g.lt, lcm)
             and (min(i, k), max(i, k)) in handled
             and (min(k, j), max(k, j)) in handled
         ):
@@ -316,20 +454,21 @@ def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder, known: Iterable
     (see :func:`shared`)."""
     # Minimality: drop elements whose leading term is divisible by another's.
     # Ascending scan guarantees divisors are kept before their multiples.
+    layout = _layout(order.sequence)
     kept: list[_Tracked] = []
-    for g in sorted(basis, key=lambda w: order.key(w.lt)):
-        if not any(divides(h.lt, g.lt) for h in kept):
+    for g in sorted(basis, key=lambda w: w.head):
+        if not any(layout.divides(h.head, g.head) for h in kept):
             kept.append(g)
 
-    reduced: list[tuple[Element, Element | None, Term]] = []
+    reduced: list[tuple[Element, Element | None, _Tracked]] = []
     for idx, g in enumerate(kept):
         others = kept[:idx] + kept[idx + 1 :]
         # Tail reduction: the head is irreducible modulo the others, so full
         # mode only rewrites lower terms and the result stays monic.
-        elem, cof, _ = _reduce(g.elem, g.cof, others, order, full=True)
-        reduced.append((elem, cof, g.lt))
+        rows, cof, _ = _reduce({g.head: 1, **dict(g.tail)}, g.cof, others, order, full=True)
+        reduced.append((layout.element(rows), cof, g))
 
-    reduced.sort(key=lambda item: (item[2].gen, order.key(item[2])))
+    reduced.sort(key=lambda item: (item[2].lt.gen, item[2].head))
     elements = shared((item[0] for item in reduced), known=known)
     return elements, [item[1] for item in reduced]
 
@@ -344,7 +483,9 @@ def is_groebner_basis(basis: Sequence[Element], order: TermOrder) -> bool:
     tracked = _track(basis, order)
     for i, a in enumerate(tracked):
         for b in tracked[i + 1 :]:
-            s, _ = _s_poly(a, b)
+            if a.lt.gen != b.lt.gen:
+                continue
+            s, _ = _s_poly(a, b, _lcm(a, b))
             if s and _reduce(s, None, tracked, order, full=False)[0]:
                 return False
     return True

@@ -85,25 +85,26 @@ def compute_strength(
     if scheme is not None:
         p = discretize(p, scheme)
 
+    # A kept report shares its doubled working system, order, basis,
+    # staircase, polynomial and validation with every equal one instead of
+    # holding a copy (see interned).
     working, order = p, resolve_order(p, order_names)
     if p.kind == "inversive":
-        working = embed_presentation(p)
+        working = interned(embed_presentation(p))
         # the doubled ring compares forward-block exponents first, in the
         # same operator sequence, then the inverse block
         seq = order.sequence
         order = TermOrder(seq + tuple(p.num_operators + i for i in seq))
-    # A kept report shares its order, staircase, polynomial and validation
-    # with every equal one instead of holding a copy (see interned).
     order = interned(order)
 
     on_pair = None
     if trace is not None:
         on_pair = lambda *pair: trace(_trace_line(working, order, *pair))
-    gb = buchberger(working.relations, order, trace=on_pair)
+    gb = interned(buchberger(working.relations, order, trace=on_pair))
     stair = interned(
         staircase_from_basis(gb.elements, order, q=working.num_unknowns, n=working.num_operators)
     )
-    dim = dimension_polynomial(stair, kind=p.kind)
+    dim = interned(dimension_polynomial(stair, kind=p.kind))
     validation = interned(validate_polynomial(dim, stair))
     return ReportDocument(
         system_name=system_name,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import dimpoly.dimension as dimension
 from dimpoly import (
     OracleBudgetExceeded,
     PolyQ,
@@ -111,6 +112,17 @@ class TestOracle:
         assert counts[36999] == free_term_count_oracle(stair, 36999)
         # vectors beyond the grid's order divide none of its terms
         assert free_term_counts(stair, 5) == [3 * (r + 1) for r in range(6)]
+
+    @pytest.mark.parametrize("r", [127, 128])
+    def test_narrow_grid_matches_int32(self, r, monkeypatch):
+        # r = 127 is the last order held in int8, 128 the first in int16;
+        # exponents and sums reach r at both
+        assert np.dtype(dimension._grid_dtype(r)).itemsize == (1 if r < 128 else 2)
+        stair = Staircase.build([[(r, 0, 0), (60, 67, 0), (1, 1, 126)], [(0, 0, r)], []], 3)
+        counts = free_term_counts(stair, r)
+        monkeypatch.setattr(dimension, "_grid_dtype", lambda r: np.int32)
+        assert counts == free_term_counts(stair, r)
+        assert counts[-1] == free_term_count_oracle(stair, r)
 
     def test_one_operator_grid_is_linear_in_r(self):
         # the row budget admits r up to 9,999,999 on one operator; building
@@ -279,7 +291,7 @@ class TestOracleTable:
         for r in range(6):
             columns, sums = _grid_up_to(n, r)
             assert len(columns) == n and len(sums) == math.comb(r + n, n)
-            assert all(c.dtype == np.int32 and c.flags.c_contiguous for c in columns)
+            assert all(c.dtype == np.int8 and c.flags.c_contiguous for c in columns)
             rows = [tuple(int(c[i]) for c in columns) for i in range(len(sums))]
             assert sorted(rows) == sorted(_exponents_up_to(n, r))
             assert sums.tolist() == [sum(row) for row in rows]

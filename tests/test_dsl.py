@@ -1,4 +1,6 @@
+import gc
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from dimpoly import (
     Element,
     Presentation,
     RationalFunction,
+    Term,
     builtin_system,
     coeff_str,
     parse_coefficient,
@@ -128,6 +131,27 @@ class TestParse:
         src = DIFFUSION_SRC.replace("a * x^2 * u", "(2*a - 1)*x*u - (1 + 1/a)*u")
         rel = parse_system(src).presentation.relations[0]
         assert rel == el0((1, (0, 1)), (-(2 * A - 1), (1, 0)), (-(1 + 1 / A), (0, 0)))
+
+    def test_long_relation_parses_in_linear_time(self):
+        # a sum collects its terms in one dict: 8x the terms, about 8x the
+        # time.  The collector is off while timing: a full collection scans
+        # every object of the test process, whatever the parser does.
+        def parse(n):
+            terms = " + ".join(f"x^{k}*u" for k in range(1, n + 1))
+            src = f"kind differential\noperators x\nunknowns u\nrelation {terms}\n"
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                rel = parse_system(src).presentation.relations[0]
+                return time.perf_counter() - start, rel
+            finally:
+                gc.enable()
+
+        small = min(parse(1000)[0] for _ in range(3))
+        large, rel = min((parse(8000) for _ in range(3)), key=lambda run: run[0])
+        assert rel == Element({Term(0, (k,)): Fraction(1) for k in range(1, 8001)})
+        assert large <= 12 * small
 
 
 TABLE_SRC = "kind {kind}\noperators x t\nparameter a\nunknowns u v\nrelation {rel}\n"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -24,7 +25,17 @@ from dimpoly.builtin_systems import builtin_scheme, builtin_system
 from dimpoly.dimension import free_term_count_oracle
 from dimpoly.coefficients import inverse
 from dimpoly.freemodule import quotient
-from dimpoly.groebner import _reduce, _track, _Tracked, autoreduce, reduce_element, s_polynomial
+from dimpoly.coefficients import RationalFunction
+from dimpoly.groebner import (
+    FIELD_BITS,
+    _layout,
+    _reduce,
+    _track,
+    _Tracked,
+    autoreduce,
+    reduce_element,
+    s_polynomial,
+)
 from dimpoly.pipeline import compute_strength
 
 from conftest import (
@@ -546,6 +557,15 @@ _RETURNING = (
 )
 
 
+# Exponents above 255, so no exponent or total fits one byte: x^300*y reduces
+# by x^256 - y^255 to x^44*y^256, and y^257 by y^257 + 3*x^44 in full mode.
+_WIDE = (
+    el0((1, (300, 1)), (2, (0, 257))),
+    [el0((1, (256, 0)), (-1, (0, 255))), el0((1, (0, 257)), (3, (44, 0)))],
+    DIFF_ORDER,
+)
+
+
 def _originals(basis, order, cofs=None):
     """Entries that keep each element as given, leading coefficient and all."""
     cofs = cofs or [None] * len(basis)
@@ -555,6 +575,7 @@ def _originals(basis, order, cofs=None):
 @given(inputs=_reduction_inputs(), full=st.booleans(), tracked=st.booleans())
 @example(inputs=_RETURNING, full=False, tracked=True)
 @example(inputs=_RETURNING, full=True, tracked=False)
+@example(inputs=_WIDE, full=True, tracked=True)
 def test_reduce_matches_the_rescanning_loop(inputs, full, tracked):
     """The heap reducer over monic entries agrees with the rescanning loop
     over the original elements, which divides by their leading coefficients
@@ -614,7 +635,7 @@ class TestMonicEntries:
         assert entry.cof == cof.scaled(1 / (A + 1))
         assert entry.lt == Term(0, (1, 0))
         monic = _Tracked(entry.elem, DIFF_ORDER, entry.cof)
-        assert monic.elem is entry.elem and monic.cof is entry.cof
+        assert monic.tail == entry.tail and monic.cof is entry.cof
 
     def test_cofactors_expand_over_q_a_with_non_monic_heads(self):
         # u = generator 0, v = generator 1; operators x, y
@@ -654,3 +675,105 @@ class TestMonicEntries:
         assert normal_form(f, basis, order) == want == normal_form(f, scaled, order)
         want = _reference_is_groebner(basis, order)
         assert is_groebner_basis(basis, order) == want == is_groebner_basis(scaled, order)
+
+
+# -- packed terms: one int per term inside completion ---------------------------
+
+
+@st.composite
+def _packed_terms(draw):
+    """(order, s, t, lam): up to 8 operators, up to 3 generators, exponents up
+    to 10^5 and a random operator sequence; t is often s shifted by lam."""
+    n = draw(st.integers(0, 8))
+    q = draw(st.integers(1, 3))
+    order = TermOrder(tuple(draw(st.permutations(range(n)))))
+    exps = st.tuples(*[st.integers(0, 10**5)] * n)
+    s, lam = Term(draw(st.integers(0, q - 1)), draw(exps)), draw(exps)
+    if draw(st.booleans()):
+        t = Term(s.gen, tuple(a + b for a, b in zip(s.exps, lam)))
+    else:
+        t = Term(draw(st.integers(0, q - 1)), draw(exps))
+    return order, s, t, lam
+
+
+@given(_packed_terms())
+def test_packed_terms_agree_with_the_term_functions(terms):
+    order, s, t, lam = terms
+    layout = _layout(order.sequence)
+    ps, pt = layout.pack(s), layout.pack(t)
+    assert layout.unpack(ps) == s and layout.unpack(pt) == t
+    assert (ps < pt, ps == pt) == (order.key(s) < order.key(t), order.key(s) == order.key(t))
+    assert layout.divides(ps, pt) == divides(s, t)
+    assert layout.divides(pt, ps) == divides(t, s)
+    (shifted,) = apply_monomial(lam, Element({s: 1})).terms
+    assert layout.unpack(ps + layout.pack(Term(0, lam))) == shifted
+    if divides(s, t):
+        assert pt - ps == layout.pack(Term(0, quotient(t, s)))
+
+
+@given(_packed_terms(), st.integers(0, 7), st.integers(1, 10**5), st.integers(0, 10**5))
+def test_packing_refuses_what_does_not_fit(terms, at, minus, over):
+    order, s, _, _ = terms
+    layout = _layout(order.sequence)
+    n = len(s.exps)
+    limit = 1 << (FIELD_BITS - 1)
+    if n:
+        at %= n
+        negative = Term(s.gen, s.exps[:at] + (-minus,) + s.exps[at + 1 :])
+        with pytest.raises(ValueError, match="negative exponent"):
+            layout.pack(negative)
+        rest = sum(s.exps) - s.exps[at]
+        widest = Term(s.gen, s.exps[:at] + (limit - 1 - rest,) + s.exps[at + 1 :])
+        assert layout.unpack(layout.pack(widest)) == widest
+        too_wide = Term(s.gen, s.exps[:at] + (limit + over - rest,) + s.exps[at + 1 :])
+        with pytest.raises(ValueError, match=r"cannot pack term Term\(gen="):
+            layout.pack(too_wide)
+    with pytest.raises(ValueError, match="generator index"):
+        layout.pack(Term(limit + over, s.exps))
+
+
+def test_completion_refuses_an_lcm_beyond_the_field_width():
+    # each input packs, but the lcm of their leading terms has total 2^31
+    top = (1 << (FIELD_BITS - 1)) - 1
+    inputs = [el0((1, (top, 0))), el0((1, (top - 1, 1)))]
+    assert [_Tracked(g, DIFF_ORDER).lt for g in inputs] == [Term(0, (top, 0)), Term(0, (top - 1, 1))]
+    lcm = re.escape(str(Term(0, (top, 1))))
+    with pytest.raises(ValueError, match=f"cannot pack term {lcm}"):
+        buchberger(inputs, DIFF_ORDER)
+    with pytest.raises(ValueError, match=f"cannot pack term {lcm}"):
+        s_polynomial(*inputs, DIFF_ORDER)
+
+
+# -- no int coefficient leaves the reducer --------------------------------------
+
+
+def _coefficient_types(elements):
+    return {type(c) for f in elements if f is not None for c in f.terms.values()}
+
+
+@pytest.mark.parametrize(
+    "inputs, order",
+    [
+        (FORWARD_INPUTS, SIGMA_ORDER),
+        (
+            [el0((2, (1, 1)), (-4, (0, 0))), el0((1, (2, 0)), (3, (0, 1))), el0((6, (0, 2)), (-2, (1, 0)))],
+            DIFF_ORDER,
+        ),
+    ],
+    ids=["over-q-a", "over-q"],
+)
+def test_every_coefficient_leaves_as_fraction_or_rational_function(inputs, order):
+    # integral coefficients are ints inside the reducer; the interning pool
+    # keys on type, so an int escaping would split it
+    traced = []
+    gb = buchberger(inputs, order, track_cofactors=True, trace=lambda *pair: traced.append(pair[2]))
+    f = Element.from_pairs([(3, (2,) * len(order.sequence), 0), (-2, (1,) * len(order.sequence), 0)])
+    out = [*gb.elements, *gb.cofactors, *traced, normal_form(f, inputs, order), reduce_element(f, inputs, order)]
+    out += [s_polynomial(g, h, order) for g in inputs for h in inputs]
+    zero = (0,) * len(order.sequence)
+    for full in (False, True):
+        entries = [_Tracked(g, order, u) for g, u in zip(gb.elements, gb.cofactors)]
+        r, cof, _ = _reduce(f, Element({Term(len(inputs), zero): 1}), entries, order, full)
+        out += [r, cof]
+    assert any(g.terms for g in out)
+    assert _coefficient_types(out) <= {Fraction, RationalFunction}

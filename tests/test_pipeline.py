@@ -109,6 +109,8 @@ class TestRepeatedCase:
         assert len(first.basis) == len(again.basis) > 1
         assert all(f is g for f, g in zip(first.basis.elements, again.basis.elements))
         assert again.working.operators is first.working.operators
+        assert again.working is first.working
+        assert again.basis is first.basis and again.dim is first.dim
         assert again.basis.order is first.basis.order
         assert again.staircase is first.staircase
         assert again.dim.polynomial is first.dim.polynomial
