@@ -3,9 +3,20 @@
 A coefficient is either a ``fractions.Fraction`` or a :class:`RationalFunction`
 (a quotient of univariate polynomials over Q in one named symbolic
 parameter).  A RationalFunction is kept in one canonical form: ``num`` and
-``den`` are tuples of Fraction without trailing zeros, ``den`` is monic and
-gcd(num, den) = 1.  Results that turn out constant collapse back to Fraction,
-so Fraction is the canonical form of every constant value.
+``den`` are tuples of rationals without trailing zeros, ``den`` is monic and
+gcd(num, den) = 1.  Inside those tuples an integral coefficient is the
+``int`` it equals and only a non-integral one is a Fraction (:func:`_small`,
+the rule the reducer rows of :mod:`dimpoly.groebner` follow too), because
+int arithmetic is several times cheaper than Fraction arithmetic and most
+coefficients over Q(a) are integers.  An int and a Fraction of one value
+compare and hash alike, so equality and hashes do not depend on the form.
+Every division is exact: a coefficient is made a Fraction before it is
+divided (:func:`_quo`), never divided as int / int.  Results are normalized
+only where a Fraction can enter: sums and products that may involve one,
+divisions, and the public constructor.  Results that turn out constant
+collapse back to Fraction, so Fraction is the canonical form of every
+constant value, and ``constant_value``, ``evaluate`` and ``coeff_str``
+return or render Fractions.
 
 Reduction costs a polynomial gcd, so arithmetic takes one only where the
 operands can share a factor.  With x = n/d canonical and c a nonzero scalar
@@ -77,10 +88,22 @@ class PoleError(ZeroDivisionError):
     """Evaluation point annihilates a denominator."""
 
 
-# Dense univariate polynomial over Q: tuple of Fractions, ascending powers,
-# no trailing zeros.  The zero polynomial is the empty tuple.
+# Dense univariate polynomial over Q: tuple of coefficients, ascending
+# powers, no trailing zeros, an integral coefficient as int and any other as
+# Fraction (see _small).  The zero polynomial is the empty tuple.
 _Poly = tuple
-_ONE: _Poly = (Fraction(1),)
+_ONE: _Poly = (1,)
+
+
+def _small(c):
+    """An integral ``Fraction`` as the ``int`` it equals; any other value,
+    a RationalFunction included, as it is."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _quo(x, y):
+    """The exact quotient x / y of rationals, as :func:`_small` holds it."""
+    return _small(Fraction(x) / y)
 
 
 def _trim(coeffs) -> _Poly:
@@ -95,7 +118,7 @@ def _add(a: _Poly, b: _Poly) -> _Poly:
         a, b = b, a
     out = list(a)
     for i, c in enumerate(b):
-        out[i] += c
+        out[i] = _small(out[i] + c)
     return _trim(out)
 
 
@@ -106,13 +129,13 @@ def _neg(a: _Poly) -> _Poly:
 def _mul(a: _Poly, b: _Poly) -> _Poly:
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if not ca:  # a sparse factor such as a^k costs only its nonzero terms
             continue
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
-    return _trim(out)
+    return _trim(map(_small, out))
 
 
 def _divmod(a: _Poly, b: _Poly) -> tuple[_Poly, _Poly]:
@@ -123,24 +146,24 @@ def _divmod(a: _Poly, b: _Poly) -> tuple[_Poly, _Poly]:
         raise ZeroDivisionError("polynomial division by zero")
     n = len(b) - 1
     rem = list(a)
-    quot = [Fraction(0)] * max(len(a) - n, 0)
+    quot = [0] * max(len(a) - n, 0)
     lead = b[-1]
     for shift in range(len(a) - 1 - n, -1, -1):
         factor = rem[shift + n]
         if factor:
-            if lead != 1:
-                factor /= lead
+            # a running remainder coefficient may be an integral Fraction
+            factor = _small(factor) if lead == 1 else _quo(factor, lead)
             quot[shift] = factor
             for i in range(n):
                 rem[shift + i] -= factor * b[i]
-    return _trim(quot), _trim(rem[:n])
+    return _trim(quot), _trim(map(_small, rem[:n]))
 
 
 def _monic(a: _Poly) -> _Poly:
     if not a or a[-1] == 1:
         return a
     lead = a[-1]
-    return tuple(c / lead for c in a)
+    return tuple(_quo(c, lead) for c in a)
 
 
 def _gcd(a: _Poly, b: _Poly) -> _Poly:
@@ -197,18 +220,20 @@ def _n_terms(a: _Poly) -> int:
 class RationalFunction:
     """Reduced quotient of univariate polynomials over Q in one parameter.
 
-    Invariants: ``num`` and ``den`` are trimmed tuples of Fraction, ``den``
-    is monic and gcd(num, den) = 1, so zero is ``((), (1,))``.  The public
-    constructor normalizes any pair; arithmetic builds its results through
-    :func:`_reduced` and collapses constant values to Fraction, so constants
-    normally never appear as RationalFunction.
+    Invariants: ``num`` and ``den`` are trimmed tuples of rationals, each
+    integral one an ``int`` and every other one a Fraction (int arithmetic is
+    several times cheaper); ``den`` is monic and gcd(num, den) = 1, so zero
+    is ``((), (1,))``.  The public constructor normalizes any pair;
+    arithmetic builds its results through :func:`_reduced` and collapses
+    constant values to Fraction, so constants normally never appear as
+    RationalFunction.
     """
 
     __slots__ = ("parameter", "num", "den")
 
     def __init__(self, parameter: str, num, den=_ONE):
-        num = _trim(Fraction(c) for c in num)
-        den = _trim(Fraction(c) for c in den)
+        num = _trim(_small(Fraction(c)) for c in num)
+        den = _trim(_small(Fraction(c)) for c in den)
         if not den:
             raise ZeroDivisionError("zero denominator in rational function")
         g = _gcd(num, den)
@@ -217,8 +242,8 @@ class RationalFunction:
             den = _divmod(den, g)[0]
         lead = den[-1]
         if lead != 1:
-            num = tuple(c / lead for c in num)
-            den = tuple(c / lead for c in den)
+            num = tuple(_quo(c, lead) for c in num)
+            den = _monic(den)
         object.__setattr__(self, "parameter", parameter)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -234,7 +259,7 @@ class RationalFunction:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise CoefficientError(f"{self!r} is not constant")
-        return self.num[0] if self.num else Fraction(0)
+        return Fraction(self.num[0]) if self.num else Fraction(0)
 
     def _check(self, other: "RationalFunction") -> None:
         if other.parameter != self.parameter:
@@ -245,7 +270,7 @@ class RationalFunction:
     def _inverse(self) -> "Coeff":
         if not self.num:
             raise ZeroDivisionError("division by zero coefficient")
-        inv = 1 / self.num[-1]
+        inv = _quo(1, self.num[-1])
         return _reduced(self.parameter, _scale(self.den, inv), _scale(self.num, inv))
 
     # -- arithmetic --------------------------------------------------------
@@ -345,7 +370,7 @@ def _reduced(parameter: str, num: _Poly, den: _Poly) -> "Coeff":
     if not num:
         return Fraction(0)
     if len(num) == 1 and len(den) == 1:
-        return num[0]
+        return Fraction(num[0])
     rf = object.__new__(RationalFunction)
     object.__setattr__(rf, "parameter", parameter)
     object.__setattr__(rf, "num", num)
@@ -354,7 +379,7 @@ def _reduced(parameter: str, num: _Poly, den: _Poly) -> "Coeff":
 
 
 def _scale(a: _Poly, c) -> _Poly:
-    return tuple(c * x for x in a) if c else ()
+    return tuple(_small(c * x) for x in a) if c else ()
 
 
 def _product(parameter: str, n1: _Poly, d1: _Poly, n2: _Poly, d2: _Poly) -> "Coeff":
@@ -428,7 +453,7 @@ def coeff_str(c: Coeff) -> str:
     """Decimal-free exact rendering, e.g. ``(2*a+2)/a`` or ``-7/2``."""
     if isinstance(c, RationalFunction):
         num = _poly_str(c.num, c.parameter)
-        if c.den == (Fraction(1),):
+        if c.den == _ONE:
             return num
         if _n_terms(c.num) > 1 or any(x.denominator != 1 for x in c.num):
             num = f"({num})"

@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 MAX_ORACLE_ROWS = 10_000_000
+# Grid rows that free_term_counts tests and counts at once, so that its masks
+# and np.bincount's intp copy of the sums stay small next to the grid.
+ORACLE_CHUNK_ROWS = 1 << 20
 VALIDATION_WINDOW = 5  # orders past the threshold checked even when n is smaller
 
 
@@ -423,7 +426,9 @@ def free_term_counts(stair: Staircase, r_max: int) -> list[int]:
     column, which only needs testing on the columns where v is nonzero.  So
     the cost past the grid is one comparison pass over the N rows per
     nonzero exponent of each vector of order <= r_max; a higher vector
-    divides no term of the grid, and a zero vector blocks all of them.
+    divides no term of the grid, and a zero vector blocks all of them.  The
+    rows are tested and counted ORACLE_CHUNK_ROWS at a time, so past the
+    grid the call holds a few bytes per row of one chunk.
 
     Raises OracleBudgetExceeded before allocating when the enumeration would
     hold more than MAX_ORACLE_ROWS exponent vectors.
@@ -441,16 +446,16 @@ def free_term_counts(stair: Staircase, r_max: int) -> list[int]:
     for antichain in stair.per_generator:
         if not all(any(v) for v in antichain):
             continue  # the unit ideal: every term is blocked
-        blocked = np.zeros(len(sums), dtype=bool)
-        for v in antichain:
-            if sum(v) > r_max:
-                continue
-            (c, e), *rest = [(c, e) for c, e in enumerate(v) if e]
-            hit = columns[c] >= e
-            for c, e in rest:
-                hit &= columns[c] >= e
-            blocked |= hit
-        per_sum += np.bincount(sums[~blocked], minlength=r_max + 1)
+        supports = [[(c, e) for c, e in enumerate(v) if e] for v in antichain if sum(v) <= r_max]
+        for start in range(0, len(sums), ORACLE_CHUNK_ROWS):
+            rows = slice(start, start + ORACLE_CHUNK_ROWS)
+            blocked = np.zeros(len(sums[rows]), dtype=bool)
+            for (c, e), *rest in supports:
+                hit = columns[c][rows] >= e
+                for c, e in rest:
+                    hit &= columns[c][rows] >= e
+                blocked |= hit
+            per_sum += np.bincount(sums[rows][~blocked], minlength=r_max + 1)
     return np.cumsum(per_sum).tolist()
 
 

@@ -23,17 +23,20 @@ above its leading term's, so no later sum can carry into a guard bit.
 Elements leave this module unpacked, as :class:`Element` with ``Fraction``
 or :class:`RationalFunction` coefficients.  Inside, an integral
 ``Fraction`` is held as the ``int`` it equals, because int arithmetic is
-several times cheaper.
+several times cheaper; the one helper for that rule, ``_small``, lives in
+:mod:`dimpoly.coefficients`, whose polynomial kernel follows it too.
 
 Every rewrite goes through one reducer, :func:`_reduce`.  It works over
 :class:`_Tracked` entries.  Each entry holds a basis element made monic when
 it enters, as its packed leading term and the packed rows of its other
 terms.  The reducer always takes the first divisor in list order, scanning
 only the entries on the term's generator; the published reduction chains of
-the worked examples depend on that rule.  It changes the remainder in place:
-one packed term -> coefficient dict, with its terms in a heap of negated
-packed terms, so the leading term is the heap top; a cancelled term's entry
-is skipped when popped (lazy deletion).  In head mode
+the worked examples depend on that rule.  Those per-generator divisor lists
+(:func:`_divisors`) are built once per basis, and the completion loop
+appends each new entry to them as it enters the basis.  The reducer changes
+the remainder in place: one packed term -> coefficient dict, with its terms
+in a heap of negated packed terms, so the leading term is the heap top; a
+cancelled term's entry is skipped when popped (lazy deletion).  In head mode
 (:func:`reduce_element`, the completion loop, the Groebner test) it stops at
 the first irreducible leading term.  In full mode (:func:`normal_form`,
 :func:`autoreduce`) it sets that term aside and keeps reducing the tail.
@@ -72,12 +75,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import lshift
 from typing import Callable, Iterable, Sequence
 
-from .coefficients import Coeff, inverse
+from .coefficients import Coeff, _small, inverse
 from .freemodule import Element, Term, TermOrder, apply_monomial, shared
 
 __all__ = [
@@ -120,12 +122,12 @@ def reduce_element(f: Element, basis: Sequence[Element], order: TermOrder) -> El
 
     Divisors are tried in list order (first match).
     """
-    return _reduce(f, None, _track(basis, order), order, full=False)[0]
+    return _reduce(f, None, _divisors(_track(basis, order)), order, full=False)[0]
 
 
 def normal_form(f: Element, basis: Sequence[Element], order: TermOrder) -> Element:
     """Fully reduce every term of f modulo ``basis`` (tail reduction included)."""
-    return _reduce(f, None, _track(basis, order), order, full=True)[0]
+    return _reduce(f, None, _divisors(_track(basis, order)), order, full=True)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,10 +215,6 @@ def _layout(sequence: tuple[int, ...]) -> _Layout:
     return _Layout(sequence)
 
 
-def _small(c: Coeff) -> Coeff:
-    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
-
-
 class _Tracked:
     """One basis element inside the completion, made monic: its leading term
     as ``lt`` and packed as ``head``, the packed rows of its other terms as
@@ -248,6 +246,22 @@ def _track(basis: Sequence[Element], order: TermOrder) -> list[_Tracked]:
     return [_Tracked(g, order) for g in basis if g]
 
 
+# Per generator, (packed leading term, basis index, entry) in list order.
+_Divisors = dict[int, list[tuple[int, int, _Tracked]]]
+
+
+def _add_divisor(divisors: _Divisors, i: int, g: _Tracked) -> None:
+    divisors.setdefault(g.lt.gen, []).append((g.head, i, g))
+
+
+def _divisors(basis: Sequence[_Tracked]) -> _Divisors:
+    """The divisor lists of ``basis`` that :func:`_reduce` scans."""
+    divisors: _Divisors = {}
+    for i, g in enumerate(basis):
+        _add_divisor(divisors, i, g)
+    return divisors
+
+
 def _lcm(a: _Tracked, b: _Tracked) -> int:
     """Packed lcm of the leading terms of two entries on one generator."""
     return a.layout.pack(Term(a.lt.gen, tuple(map(max, a.lt.exps, b.lt.exps))))
@@ -275,8 +289,9 @@ def _s_poly(a: _Tracked, b: _Tracked, lcm: int):
     return s, cof
 
 
-def _reduce(f, cof, basis: list[_Tracked], order: TermOrder, full: bool, chain=None):
-    """The one reduction loop: rewrite f modulo ``basis``.
+def _reduce(f, cof, divisors: _Divisors, order: TermOrder, full: bool, chain=None):
+    """The one reduction loop: rewrite f modulo the basis whose divisor lists
+    (:func:`_divisors`) are ``divisors``.
 
     The first entry in list order whose leading term divides the current
     leading term is used.  Head mode stops at the first irreducible leading
@@ -304,9 +319,6 @@ def _reduce(f, cof, basis: list[_Tracked], order: TermOrder, full: bool, chain=N
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
     guards, gen_shift = layout.guards, layout.gen_shift
-    divisors: dict[int, list[tuple[int, int, _Tracked]]] = {}
-    for i, g in enumerate(basis):
-        divisors.setdefault(g.lt.gen, []).append((g.head, i, g))
     done: dict[int, Coeff] = {}
     steps = 0
     while heap:
@@ -370,6 +382,7 @@ def buchberger(
         if g
     ]
     layout = _layout(order.sequence)
+    divisors = _divisors(basis)
 
     # (lcm total order, insertion index, i, j, packed lcm)
     heap: list[tuple[int, int, int, int, int]] = []
@@ -397,7 +410,7 @@ def buchberger(
         _, _, i, j, lcm = heapq.heappop(heap)
         pairs_processed += 1
         handled.add((i, j))
-        if trace is None and _chain_redundant(basis, handled, i, j, lcm):
+        if trace is None and _chain_redundant(divisors[basis[i].lt.gen], handled, i, j, lcm):
             pairs_pruned += 1
             continue
         s, cof = _s_poly(basis[i], basis[j], lcm)
@@ -406,12 +419,13 @@ def buchberger(
                 trace(i, j, Element(), None, None)
             continue
         chain: list[int] | None = [] if trace else None
-        r, cof, steps = _reduce(s, cof, basis, order, full=False, chain=chain)
+        r, cof, steps = _reduce(s, cof, divisors, order, full=False, chain=chain)
         reduction_steps += steps
         if trace:
             trace(i, j, layout.element(s), chain, len(basis) if r else None)
         if r:
             basis.append(_Tracked(r, order, cof))
+            _add_divisor(divisors, len(basis) - 1, basis[-1])
             push_pairs(len(basis) - 1)
 
     completed_size = len(basis)
@@ -428,17 +442,20 @@ def buchberger(
 
 
 def _chain_redundant(
-    basis: list[_Tracked], handled: set[tuple[int, int]], i: int, j: int, lcm: int
+    divisors: list[tuple[int, int, _Tracked]],
+    handled: set[tuple[int, int]],
+    i: int,
+    j: int,
+    lcm: int,
 ) -> bool:
-    """Chain criterion for pair (i, j), i < j, with packed lcm(lt_i, lt_j):
-    some k other than i and j has lt_k dividing it, and (i, k) and (k, j)
-    are handled."""
-    gen, guards = basis[i].lt.gen, basis[i].layout.guards
+    """Chain criterion for pair (i, j), i < j, with packed lcm(lt_i, lt_j)
+    and the divisor list of their generator: some k other than i and j has
+    lt_k dividing it, and (i, k) and (k, j) are handled."""
+    guards = divisors[0][2].layout.guards
     lcm |= guards
-    for k, g in enumerate(basis):
+    for h, k, _ in divisors:
         if (
-            g.lt.gen == gen
-            and (lcm - g.head) & guards == guards
+            (lcm - h) & guards == guards
             and k != i
             and k != j
             and (min(i, k), max(i, k)) in handled
@@ -460,13 +477,15 @@ def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder, known: Iterable
         if not any(layout.divides(h.head, g.head) for h in kept):
             kept.append(g)
 
+    # Tail reduction: the head is irreducible modulo the others, so only the
+    # tail is reduced, in full mode, and the result stays monic.  The tail
+    # and every term a step brings in lie below the head, and no multiple of
+    # g's own head does, so g can stay in the divisor lists all of kept share.
+    divisors = _divisors(kept)
     reduced: list[tuple[Element, Element | None, _Tracked]] = []
-    for idx, g in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1 :]
-        # Tail reduction: the head is irreducible modulo the others, so full
-        # mode only rewrites lower terms and the result stays monic.
-        rows, cof, _ = _reduce({g.head: 1, **dict(g.tail)}, g.cof, others, order, full=True)
-        reduced.append((layout.element(rows), cof, g))
+    for g in kept:
+        rows, cof, _ = _reduce(dict(g.tail), g.cof, divisors, order, full=True)
+        reduced.append((layout.element({g.head: 1, **rows}), cof, g))
 
     reduced.sort(key=lambda item: (item[2].lt.gen, item[2].head))
     elements = shared((item[0] for item in reduced), known=known)
@@ -481,11 +500,12 @@ def autoreduce(basis: Sequence[Element], order: TermOrder) -> list[Element]:
 def is_groebner_basis(basis: Sequence[Element], order: TermOrder) -> bool:
     """Buchberger criterion: every pairwise S-polynomial reduces to zero."""
     tracked = _track(basis, order)
+    divisors = _divisors(tracked)
     for i, a in enumerate(tracked):
         for b in tracked[i + 1 :]:
             if a.lt.gen != b.lt.gen:
                 continue
             s, _ = _s_poly(a, b, _lcm(a, b))
-            if s and _reduce(s, None, tracked, order, full=False)[0]:
+            if s and _reduce(s, None, divisors, order, full=False)[0]:
                 return False
     return True

@@ -15,7 +15,7 @@ from dimpoly import (
     inverse,
     parameter_symbol,
 )
-from dimpoly.coefficients import _add, _divmod, _gcd, _mul, _reduced, _sum, as_coeff
+from dimpoly.coefficients import _add, _divmod, _gcd, _mul, _reduced, _small, _sum, as_coeff
 
 A = parameter_symbol("a")
 
@@ -207,7 +207,7 @@ def pgcd_degree(a, b):
     a, b = list(a), list(b)
     while b:
         while a and len(a) >= len(b):
-            f = a[-1] / b[-1]
+            f = Fraction(a[-1]) / b[-1]
             shift = len(a) - len(b)
             for i, c in enumerate(b):
                 a[shift + i] -= f * c
@@ -223,7 +223,8 @@ def pgcd_degree(a, b):
 # lead, Euclid run down to a zero remainder, and Henrici's sum taking
 # gcd(d1, d2) even when d1 == d2.  They serve as oracles for the kernel, and
 # reference() normalizes with them, so the operator tests below do not check
-# the kernel against itself.
+# the kernel against itself.  Every division is Fraction division: the kernel
+# holds integral coefficients as int, and int / int would give a float.
 
 
 def _trim_reference(coeffs):
@@ -244,7 +245,7 @@ def _divmod_reference(a, b):
         if len(rem) < len(b):
             break
         shift = len(rem) - len(b)
-        factor = rem[-1] / dlead
+        factor = Fraction(rem[-1]) / dlead
         quot[shift] = factor
         for i, c in enumerate(b):
             rem[shift + i] -= factor * c
@@ -256,7 +257,7 @@ def _monic_reference(a):
     if not a or a[-1] == 1:
         return a
     lead = a[-1]
-    return tuple(c / lead for c in a)
+    return tuple(Fraction(c) / lead for c in a)
 
 
 def _gcd_reference(a, b):
@@ -286,7 +287,13 @@ def reference(num, den):
     if len(g) > 1:
         num, den = _divmod_reference(num, g)[0], _divmod_reference(den, g)[0]
     lead = den[-1]
-    return _reduced("a", tuple(c / lead for c in num), tuple(c / lead for c in den))
+    return _reduced("a", tuple(Fraction(c) / lead for c in num), tuple(Fraction(c) / lead for c in den))
+
+
+def is_canonical(c):
+    """The kernel's form of one coefficient: int when integral, else
+    Fraction; never a float or an integral Fraction."""
+    return type(c) is (int if c.denominator == 1 else Fraction)
 
 
 def assert_canonical(value, expected):
@@ -295,7 +302,7 @@ def assert_canonical(value, expected):
         return
     assert type(value) is RationalFunction
     assert (value.parameter, value.num, value.den) == (expected.parameter, expected.num, expected.den)
-    assert all(type(c) is Fraction for c in value.num + value.den)
+    assert all(is_canonical(c) for c in value.num + value.den)
     assert value.den[-1] == 1
     assert not value.num or value.num[-1] != 0
     assert pgcd_degree(value.num, value.den) == 0
@@ -392,52 +399,111 @@ class TestEdgeCases:
                 op(x, other)
 
 
+# -- no float and no integral Fraction in any result ---------------------------
+
+OPERATIONS = {
+    "add": lambda x, y, s, k: x + y,
+    "sub": lambda x, y, s, k: x - y,
+    "mul": lambda x, y, s, k: x * y,
+    "div": lambda x, y, s, k: x / y,
+    "neg": lambda x, y, s, k: -x,
+    "inverse": lambda x, y, s, k: inverse(x),
+    "pow": lambda x, y, s, k: x**k,
+    "add_scalar": lambda x, y, s, k: x + s,
+    "scalar_sub": lambda x, y, s, k: s - x,
+    "mul_scalar": lambda x, y, s, k: s * x,
+    "div_scalar": lambda x, y, s, k: x / s,
+    "scalar_div": lambda x, y, s, k: s / x,
+}
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("name", sorted(OPERATIONS))
+    @given(x=rfs, y=operands, s=scalars, k=st.integers(0, 5))
+    # 2*(a/2 + 1/2) = a + 1: every product of the scaling is integral
+    @example(x=rf((Fraction(1, 2), Fraction(1, 2))), y=rf((0, 1)), s=2, k=2)
+    # (a/2 + 1/2) + (a/2 - 1/2) = a: every sum is integral
+    @example(x=rf((Fraction(1, 2), Fraction(1, 2))), y=rf((Fraction(-1, 2), Fraction(1, 2))), s=Fraction(1, 2), k=0)
+    def test_every_result_holds_int_or_non_integral_fraction(self, name, x, y, s, k):
+        try:
+            value = OPERATIONS[name](x, y, s, k)
+        except ZeroDivisionError:
+            return
+        if isinstance(value, RationalFunction):
+            assert not value.is_constant()
+            assert all(is_canonical(c) for c in value.num + value.den)
+        else:
+            assert type(value) is Fraction
+
+    # scalars mix ints, integral Fractions such as 4/2, and other Fractions
+    @given(num=st.lists(scalars, max_size=4), den=st.lists(scalars, min_size=1, max_size=4).filter(any))
+    @example(num=[Fraction(4, 2), Fraction(1, 2)], den=[Fraction(2), 4])
+    def test_public_constructor(self, num, den):
+        value = rf(tuple(num), tuple(den))
+        assert all(is_canonical(c) for c in value.num + value.den)
+        assert value.den[-1] == 1
+        if value.is_constant():
+            assert type(value.constant_value()) is Fraction
+
+
 # -- the kernel against the reference kernel ------------------------------------
 
-polys = st.lists(small, max_size=5).map(_trim_reference)
+def kernel_form(coeffs):
+    """A coefficient list in the kernel's canonical form."""
+    return _trim_reference(map(_small, coeffs))
+
+
+polys = st.lists(small, max_size=5).map(kernel_form)
 # c * prod(a - r) over few roots, so that gcds are often nontrivial
-factored = st.builds(from_roots, small.filter(bool), roots)
+factored = st.builds(from_roots, small.filter(bool), roots).map(kernel_form)
 nonzero_polys = st.one_of(polys, factored).filter(bool)
 # mostly zero coefficients, zeros inside as well as at the low end
-sparse_polys = st.lists(st.one_of(st.just(Fraction(0)), small), max_size=9).map(_trim_reference)
+sparse_polys = st.lists(st.one_of(st.just(Fraction(0)), small), max_size=9).map(kernel_form)
 
 
 @st.composite
 def division_inputs(draw):
-    """(a, b): b nonzero and often not monic; a arbitrary, an exact multiple
-    of b, or a multiple plus a nonzero constant."""
+    """(a, b): b nonzero, monic or not; a arbitrary, an exact multiple of b,
+    or a multiple plus a nonzero constant."""
     b = draw(nonzero_polys)
+    if draw(st.booleans()):
+        b = kernel_form(_monic_reference(b))
     kind = draw(st.sampled_from(["any", "exact", "constant"]))
     if kind == "any":
         return draw(st.one_of(polys, factored)), b
-    tail = () if kind == "exact" else (draw(small.filter(bool)),)
+    tail = () if kind == "exact" else (_small(draw(small.filter(bool))),)
     return _add(_mul(draw(polys), b), tail), b
 
 
 class TestKernel:
     @given(inputs=division_inputs())
-    @example(inputs=((Fraction(1), Fraction(2), Fraction(3)), (Fraction(1), Fraction(2))))
-    @example(inputs=(_mul(from_roots(3, [1, 2]), from_roots(2, [0])), from_roots(2, [0])))
-    @example(inputs=((Fraction(5),), (Fraction(1), Fraction(1))))
+    @example(inputs=((1, 2, 3), (1, 2)))
+    @example(inputs=(_mul(kernel_form(from_roots(3, [1, 2])), (0, 2)), (0, 2)))
+    @example(inputs=((5,), (1, 1)))
+    # a non-integral lead: quotient and remainder mix int and Fraction
+    @example(inputs=((1, 0, 3), (Fraction(1, 2), Fraction(3, 2))))
+    # a monic divisor whose halves leave an integral Fraction in the running
+    # remainder, which then becomes a quotient coefficient
+    @example(inputs=((0, Fraction(3, 2), 1), (Fraction(1, 2), 1)))
     def test_divmod_matches_the_reference(self, inputs):
         a, b = inputs
         q, r = _divmod(a, b)
         assert (q, r) == _divmod_reference(a, b)
         assert _add(_mul(q, b), r) == a
         assert len(r) < len(b)
-        assert all(type(c) is Fraction for c in q + r)
+        assert all(is_canonical(c) for c in q + r)
 
     def test_divmod_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            _divmod((Fraction(1),), ())
+            _divmod((1,), ())
 
     @given(a=st.one_of(polys, factored), b=st.one_of(polys, factored), common=roots)
     # Euclid on a^2+1 and a^2+a+1 stops at the constant remainder 1
-    @example(a=(Fraction(1), Fraction(0), Fraction(1)), b=(Fraction(1), Fraction(1), Fraction(1)), common=[])
-    @example(a=(), b=(Fraction(2), Fraction(4)), common=[])
+    @example(a=(1, 0, 1), b=(1, 1, 1), common=[])
+    @example(a=(), b=(2, 4), common=[])
     @example(a=(), b=(), common=[])
     def test_gcd_matches_the_reference(self, a, b, common):
-        shared_factor = from_roots(1, common)
+        shared_factor = kernel_form(from_roots(1, common))
         a, b = _mul(a, shared_factor), _mul(b, shared_factor)
         g = _gcd(a, b)
         assert g == _gcd_reference(a, b)
@@ -468,12 +534,14 @@ class TestKernel:
         assert_canonical(_sum(*args), _sum_reference(*args))
 
     @given(a=sparse_polys, b=sparse_polys)
-    @example(a=(Fraction(0), Fraction(0), Fraction(1)), b=(Fraction(2), Fraction(0), Fraction(0), Fraction(3)))
+    @example(a=(0, 0, 1), b=(2, 0, 0, 3))
+    # halves whose products and sums are integral
+    @example(a=(Fraction(1, 2), Fraction(1, 2)), b=(2, Fraction(-1, 2)))
     def test_mul_of_sparse_factors_is_the_dense_product(self, a, b):
         for x, y in ((a, b), (b, a)):
             product = _mul(x, y)
             assert product == _trim_reference(pmul(list(x), list(y)))
-            assert all(type(c) is Fraction for c in product)
+            assert all(is_canonical(c) for c in product)
 
     def test_sparse_power(self):
         # square-and-multiply on a^k multiplies factors with one nonzero

@@ -3,7 +3,9 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -132,6 +134,23 @@ class TestOracle:
         assert counts[-1] == 3 and counts[:4] == [1, 2, 3, 3]
         assert type(counts[-1]) is int
         assert time.perf_counter() - start < 5
+
+    def test_counting_holds_no_more_than_the_grid(self):
+        # at the row budget (8 operators, r = 23: 7,888,725 rows) counting
+        # every free row at once widened their sums to an intp copy, 36.5 MB
+        # past the grid's own peak
+        stair = Staircase.build([[(3,) + (0,) * 7]], 8)
+        tracemalloc.start()
+        try:
+            _grid_up_to(8, 23)
+            grid_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            counts = free_term_counts(stair, 23)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts[-1] == sum(math.comb(30 - e, 7) for e in range(3))
+        assert peak < grid_peak + 8 * 2**20
 
 
 class TestDimensionPolynomial:
@@ -263,6 +282,12 @@ class TestOracleTable:
     @given(sparse_staircases(), st.integers(0, 6))
     def test_doubled_ring_shape(self, stair, r_max):
         counts = free_term_counts(stair, r_max)
+        assert counts == [free_term_count_oracle(stair, r) for r in range(r_max + 1)]
+
+    @given(sparse_staircases(), st.integers(0, 5), st.integers(1, 64))
+    def test_rows_counted_in_chunks(self, stair, r_max, chunk):
+        with mock.patch.object(dimension, "ORACLE_CHUNK_ROWS", chunk):
+            counts = free_term_counts(stair, r_max)
         assert counts == [free_term_count_oracle(stair, r) for r in range(r_max + 1)]
 
     def test_zero_vector_blocks_every_row(self):

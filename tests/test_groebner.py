@@ -28,6 +28,7 @@ from dimpoly.freemodule import quotient
 from dimpoly.coefficients import RationalFunction
 from dimpoly.groebner import (
     FIELD_BITS,
+    _divisors,
     _layout,
     _reduce,
     _track,
@@ -152,6 +153,16 @@ class TestBuchberger:
         assert again.elements == gb.elements
         for f, g in zip(gb.elements, again.elements):
             assert all(s is t for s, t in zip(f.terms, g.terms))
+
+    def test_divisor_lists_built_once_per_completion(self, monkeypatch):
+        # the completion loop appends each new entry to its divisor lists;
+        # it used to rebuild them from the whole basis at every reduction
+        built = []
+        real = dimpoly.groebner._divisors
+        monkeypatch.setattr(dimpoly.groebner, "_divisors", lambda basis: built.append(len(basis)) or real(basis))
+        gb = buchberger(FORWARD_INPUTS, SIGMA_ORDER, trace=lambda *pair: None)
+        # one build for the completion loop, one for autoreduction
+        assert built == [len(FORWARD_INPUTS), gb.completed_size]
 
     def test_zero_inputs_dropped(self):
         gb1 = buchberger([G1, Element(), G2, G3], SIGMA_ORDER)
@@ -587,7 +598,7 @@ def test_reduce_matches_the_rescanning_loop(inputs, full, tracked):
     assert all(g.elem.leading_term(order)[1] == 1 for g in entries)
     cof = cofs and cofs[-1]
     chain, want_chain = [], []
-    got = _reduce(f, cof, entries, order, full, chain)
+    got = _reduce(f, cof, _divisors(entries), order, full, chain)
     assert got == _reference_reduce(f, cof, _originals(basis, order, cofs), order, full, want_chain)
     assert chain == want_chain
 
@@ -595,7 +606,7 @@ def test_reduce_matches_the_rescanning_loop(inputs, full, tracked):
 def test_returning_term_is_reduced_in_two_steps():
     f, basis, order = _RETURNING
     chain = []
-    r, _, steps = _reduce(f, None, _track(basis, order), order, False, chain)
+    r, _, steps = _reduce(f, None, _divisors(_track(basis, order)), order, False, chain)
     assert (r, steps, chain) == (el0((1, (0, 1))), 2, [0, 1])
 
 
@@ -773,7 +784,7 @@ def test_every_coefficient_leaves_as_fraction_or_rational_function(inputs, order
     zero = (0,) * len(order.sequence)
     for full in (False, True):
         entries = [_Tracked(g, order, u) for g, u in zip(gb.elements, gb.cofactors)]
-        r, cof, _ = _reduce(f, Element({Term(len(inputs), zero): 1}), entries, order, full)
+        r, cof, _ = _reduce(f, Element({Term(len(inputs), zero): 1}), _divisors(entries), order, full)
         out += [r, cof]
     assert any(g.terms for g in out)
     assert _coefficient_types(out) <= {Fraction, RationalFunction}
