@@ -28,7 +28,7 @@ import numpy as np
 
 from .coefficients import _add, _eval, _mul, _neg, _poly_str, signed_sum
 from .dsl import parse_coefficient
-from .freemodule import Element, TermOrder, interned
+from .freemodule import Element, TermOrder
 
 __all__ = [
     "DimPolyReport",
@@ -235,8 +235,8 @@ def dimension_polynomial(stair: Staircase, *, kind: str = "difference") -> "DimP
                 f"of the form 2^{m}*a/{m}!"
             )
     return DimPolyReport(
-        polynomial=interned(polynomial),
-        binomial_coeffs=interned(tuple(coeffs)),
+        polynomial=polynomial,
+        binomial_coeffs=tuple(coeffs),
         degree=max(len(coeffs) - 1, 0),
         typical_dimension=coeffs[-1] if coeffs else 0,
         delta_dimension=delta_dimension,
@@ -420,7 +420,7 @@ def _grid_up_to(n: int, r: int) -> tuple[list[np.ndarray], np.ndarray]:
 
 
 def free_term_counts(stair: Staircase, r_max: int) -> list[int]:
-    """Oracle counts for every r in 0..r_max, from one shared enumeration.
+    """Oracle counts for every r in 0..r_max, from one enumeration of the grid.
 
     A term is blocked by a staircase vector v when it is >= v in every
     column, which only needs testing on the columns where v is nonzero.  So

@@ -28,15 +28,11 @@ __all__ = [
     "apply_monomial",
     "combine",
     "divides",
-    "interned",
     "quotient",
-    "shared",
     "term_order",
 ]
 
 KINDS = ("differential", "difference", "inversive")
-# The immutable values results share (see interned); emptied past 2^16.
-_canonical: dict = {}
 
 
 class Term(NamedTuple):
@@ -125,8 +121,7 @@ class Element:
         return self.terms == other.terms
 
     def __hash__(self):
-        # computed once: pooled elements are hashed again by every report
-        # part that holds them (see interned)
+        # computed once: dimpoly.pipeline's report pool hashes it again per report part
         try:
             return self._hash
         except AttributeError:
@@ -213,32 +208,6 @@ def combine(cof: Element, gens: Sequence[Element]) -> Element:
         for s, x in apply_monomial(t.exps, gens[t.gen]).terms.items():
             acc[s] = acc[s] + c * x if s in acc else c * x
     return _raw({s: x for s, x in acc.items() if x})
-
-
-def interned(x):
-    """The pooled value equal to ``x``, of the same type; ``x`` itself the
-    first time.  Only for immutable values whose equal instances are
-    interchangeable (a tuple of ints equals one of Fractions), which the
-    pool keeps alive until it is emptied."""
-    if len(_canonical) > 1 << 16:
-        _canonical.clear()
-    return _canonical.setdefault((type(x), x), x)
-
-
-def shared(elements: Iterable[Element], known: Iterable[Element] = ()) -> list[Element]:
-    """The elements as pooled values (see :func:`interned`) whose terms and
-    coefficients are pooled too, except that one equal to an element of
-    ``known`` is that object: a kept result would otherwise carry a copy of
-    each per occurrence."""
-    same = {f: f for f in known}
-
-    def pooled(f: Element) -> Element:
-        g = _canonical.get((Element, f))
-        if g is None:
-            g = interned(_raw({interned(t): interned(c) for t, c in f.terms.items()}))
-        return g
-
-    return [same.get(f) or same.setdefault(f, pooled(f)) for f in elements]
 
 
 @dataclass(frozen=True, slots=True)

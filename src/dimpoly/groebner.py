@@ -80,7 +80,7 @@ from operator import lshift
 from typing import Callable, Iterable, Sequence
 
 from .coefficients import Coeff, _small, inverse
-from .freemodule import Element, Term, TermOrder, apply_monomial, shared
+from .freemodule import Element, Term, TermOrder, apply_monomial
 
 __all__ = [
     "CompletionBudgetExceeded",
@@ -429,7 +429,7 @@ def buchberger(
             push_pairs(len(basis) - 1)
 
     completed_size = len(basis)
-    elements, cofactors = _autoreduce_tracked(basis, order, generators)
+    elements, cofactors = _autoreduce_tracked(basis, order)
     return GroebnerBasis(
         elements=tuple(elements),
         order=order,
@@ -465,10 +465,8 @@ def _chain_redundant(
     return False
 
 
-def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder, known: Iterable[Element]):
-    """Minimal, tail-reduced and sorted form of the monic ``basis``; a result
-    equal to an element of ``known`` is that object, any other is pooled
-    (see :func:`shared`)."""
+def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder):
+    """Minimal, tail-reduced and sorted form of the monic ``basis``."""
     # Minimality: drop elements whose leading term is divisible by another's.
     # Ascending scan guarantees divisors are kept before their multiples.
     layout = _layout(order.sequence)
@@ -488,13 +486,12 @@ def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder, known: Iterable
         reduced.append((layout.element({g.head: 1, **rows}), cof, g))
 
     reduced.sort(key=lambda item: (item[2].lt.gen, item[2].head))
-    elements = shared((item[0] for item in reduced), known=known)
-    return elements, [item[1] for item in reduced]
+    return [item[0] for item in reduced], [item[1] for item in reduced]
 
 
 def autoreduce(basis: Sequence[Element], order: TermOrder) -> list[Element]:
     """Minimal monic form of a Groebner basis, deterministically sorted."""
-    return _autoreduce_tracked(_track(basis, order), order, basis)[0]
+    return _autoreduce_tracked(_track(basis, order), order)[0]
 
 
 def is_groebner_basis(basis: Sequence[Element], order: TermOrder) -> bool:

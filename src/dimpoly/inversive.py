@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .freemodule import Element, Presentation, Term, interned, shared
+from .freemodule import Element, Presentation, Term
 
 __all__ = [
     "embed_element",
@@ -66,12 +66,11 @@ def embed_presentation(p: Presentation) -> Presentation:
     appending the saturation relations."""
     if p.kind != "inversive":
         raise ValueError(f"cannot embed kind {p.kind!r}; expected inversive")
-    m, q = p.num_operators, p.num_unknowns
-    relations = shared(embed_element(f, m) for f in p.relations if f)
-    relations += saturation_relations(m, q)
+    m = p.num_operators
+    relations = [embed_element(f, m) for f in p.relations if f] + saturation_relations(m, p.num_unknowns)
     return Presentation(
         kind="difference",
-        operators=interned(sigma_operator_names(p.operators)),
+        operators=sigma_operator_names(p.operators),
         unknowns=p.unknowns,
         relations=tuple(relations),
         parameter=p.parameter,

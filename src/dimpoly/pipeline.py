@@ -10,7 +10,7 @@ strings.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .dimension import (
@@ -27,9 +27,9 @@ from .dimension import (
     validate_polynomial,
 )
 from .dsl import render_element
-from .freemodule import Presentation, TermOrder, interned
+from .freemodule import Element, Presentation, TermOrder, _raw
 from .groebner import GroebnerBasis, buchberger
-from .inversive import embed_presentation
+from .inversive import embed_presentation, saturation_relations
 from .schemes import SchemeSpec, discretize
 
 __all__ = [
@@ -80,43 +80,77 @@ def compute_strength(
     order_names: tuple[str, ...] | None = None,
     trace: Callable[[str], None] | None = None,
 ) -> ReportDocument:
-    """Run the full pipeline on a presentation."""
-    original = p
-    if scheme is not None:
-        p = discretize(p, scheme)
-
-    # A kept report shares its doubled working system, order, basis,
-    # staircase, polynomial and validation with every equal one instead of
-    # holding a copy (see interned).
-    working, order = p, resolve_order(p, order_names)
-    if p.kind == "inversive":
-        working = interned(embed_presentation(p))
+    """Run the full pipeline on a presentation; the report's parts are pooled."""
+    source = p if scheme is None else discretize(p, scheme)
+    working, order = source, resolve_order(source, order_names)
+    if source.kind == "inversive":
+        working = embed_presentation(source)
         # the doubled ring compares forward-block exponents first, in the
         # same operator sequence, then the inverse block
         seq = order.sequence
-        order = TermOrder(seq + tuple(p.num_operators + i for i in seq))
-    order = interned(order)
+        order = TermOrder(seq + tuple(source.num_operators + i for i in seq))
 
     on_pair = None
     if trace is not None:
         on_pair = lambda *pair: trace(_trace_line(working, order, *pair))
-    gb = interned(buchberger(working.relations, order, trace=on_pair))
-    stair = interned(
-        staircase_from_basis(gb.elements, order, q=working.num_unknowns, n=working.num_operators)
-    )
-    dim = interned(dimension_polynomial(stair, kind=p.kind))
-    validation = interned(validate_polynomial(dim, stair))
-    return ReportDocument(
+    gb = buchberger(working.relations, order, trace=on_pair)
+    stair = staircase_from_basis(gb.elements, order, q=working.num_unknowns, n=working.num_operators)
+    dim = dimension_polynomial(stair, kind=source.kind)
+    validation = validate_polynomial(dim, stair)
+    return _pooled(ReportDocument(
         system_name=system_name,
-        presentation=original,
+        presentation=p,
         scheme_name=scheme_name,
-        scheme_description=interned(scheme.describe()) if scheme else None,
+        scheme_description=scheme.describe() if scheme else None,
         working=working,
         basis=gb,
         staircase=stair,
         dim=dim,
         validation=validation,
-    )
+    ))
+
+
+# The immutable report parts equal reports share (see _pooled); emptied past 2^16.
+_pool: dict = {}
+# The fields pooled one by one inside a pooled value; other values are pooled whole.
+_PARTS = {
+    Presentation: ("operators", "relations"),
+    GroebnerBasis: ("elements", "order"),
+    DimPolyReport: ("polynomial", "binomial_coeffs"),
+}
+
+
+def _pooled(doc: ReportDocument) -> ReportDocument:
+    """``doc`` with its parts pooled, so that many kept reports cost little
+    more than one.  A basis element equal to a working relation is that
+    relation; the caller's presentation, an undoubled working system and the
+    saturation relations, which their own cache shares, are kept as they are."""
+    working, keep = doc.working, {}
+
+    def pooled(x):
+        if type(x) is tuple and x and isinstance(x[0], Element):
+            return tuple(map(pooled, x))
+        found = keep.get(x) or _pool.get((type(x), x))
+        if found is None:
+            if isinstance(x, Element):
+                x = _raw({pooled(t): pooled(c) for t, c in x.terms.items()})
+            elif type(x) in _PARTS:
+                x = replace(x, **{name: pooled(getattr(x, name)) for name in _PARTS[type(x)]})
+            if len(_pool) > 1 << 16:
+                _pool.clear()
+            found = _pool[type(x), x] = x  # the key holds the pooled value, not a copy
+        return found
+
+    if working is not doc.presentation:
+        keep = {f: f for f in saturation_relations(working.num_operators // 2, working.num_unknowns)}
+        working = pooled(working)
+    keep.update((f, f) for f in working.relations)
+    parts = {n: pooled(getattr(doc, n)) for n in ("scheme_description", "basis", "dim", "validation")}
+    stair = doc.staircase
+    if (Staircase, stair) not in _pool:  # its vectors become those of the basis's terms
+        exps = {t.exps: t.exps for g in parts["basis"] for t in g.terms}
+        stair = Staircase(tuple(tuple(exps[v] for v in vs) for vs in stair.per_generator), stair.n)
+    return replace(doc, working=working, staircase=pooled(stair), **parts)
 
 
 def _trace_line(working: Presentation, order: TermOrder, i, j, s, chain, added) -> str:

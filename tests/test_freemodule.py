@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import dimpoly.pipeline
 from dimpoly import (
     CoefficientError,
     Element,
@@ -11,11 +12,11 @@ from dimpoly import (
     TermOrder,
     apply_monomial,
     divides,
+    compute_strength,
     parameter_symbol,
     quotient,
     term_order,
 )
-from dimpoly.freemodule import shared
 
 from conftest import A, G1, el0
 
@@ -177,26 +178,25 @@ class TestAdmissibleOrderAxioms:
 
 
 class TestShared:
-    def test_equal_parts_become_one_object(self):
-        f = el0((A, (1, 0)), (Fraction(1, 2), (0, 1)))
-        g = el0((Fraction(1, 2), (1, 0)), (A, (0, 0)))
-        sf, sg = shared([f, g])
-        assert (sf, sg) == (f, g)
-        assert next(t for t in sf.terms if t.exps == (1, 0)) is next(t for t in sg.terms if t.exps == (1, 0))
-        assert sf.terms[Term(0, (0, 1))] is sg.terms[Term(0, (1, 0))]
-        assert sf.terms[Term(0, (1, 0))] is sg.terms[Term(0, (0, 0))]
+    """Equal elements of a report are one object; the pooling is
+    compute_strength's, the element code itself keeps no state."""
 
-    def test_known_element_is_returned(self):
+    def test_known_element_is_returned(self, monkeypatch):
+        monkeypatch.setattr(dimpoly.pipeline, "_pool", {})
         f = el0((1, (1, 0)), (-1, (0, 0)))
         copy = el0((1, (1, 0)), (-1, (0, 0)))
         other = el0((2, (0, 1)))
-        out = shared([copy, other, copy], known=[f])
-        assert out[0] is f and out[2] is f
-        assert out[1] == other and out[1] is not other
-
-    def test_coefficient_type_kept(self):
-        f = el0((Fraction(1), (1, 0)))
-        assert [type(c) for c in shared([f, G1])[1].terms.values()] == [type(c) for c in G1.terms.values()]
+        system = lambda *rels: Presentation(kind="difference", operators=("x", "t"), unknowns=("u",), relations=rels)
+        monic_other = el0((1, (0, 1)))
+        doc = compute_strength(system(f, other))
+        # the basis entry equal to a relation is that relation, the monic
+        # t*u is an entry of its own
+        assert set(doc.basis) == {f, monic_other}
+        out = {g: g for g in doc.basis}
+        assert out[f] is f and out[monic_other] is not other
+        # an equal later report shares the first one's basis
+        again = compute_strength(system(copy, other))
+        assert again.presentation.relations[0] is copy and again.basis is doc.basis
 
 
 class TestPresentation:

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import dimpoly.groebner
+import dimpoly.pipeline
 from dimpoly import (
     CompletionBudgetExceeded,
     Element,
+    Presentation,
     Term,
     TermOrder,
     apply_monomial,
@@ -144,12 +146,19 @@ class TestBuchberger:
         }
         assert set(gb.elements) == published_monic
 
-    def test_result_shares_parts_with_inputs(self):
-        # G2 and G3 are monic and already reduced: the basis keeps them as is
-        gb = buchberger(FORWARD_INPUTS, SIGMA_ORDER)
+    def test_result_shares_parts_with_inputs(self, monkeypatch):
+        # G2 and G3 are monic and already reduced: the report's basis keeps
+        # them as is; buchberger itself returns plain copies
+        monkeypatch.setattr(dimpoly.pipeline, "_pool", {})
+        p = Presentation(
+            kind="difference", operators=("x", "t", "y", "s"), unknowns=("u",), relations=FORWARD_INPUTS, parameter="a"
+        )
+        doc = compute_strength(p, order_names=("x", "t", "y", "s"))
+        assert doc.basis.elements == buchberger(FORWARD_INPUTS, SIGMA_ORDER).elements
+        gb = doc.basis
         kept = [g for g in gb.elements if any(g is f for f in FORWARD_INPUTS)]
         assert kept == [g for g in gb.elements if g in FORWARD_INPUTS] and len(kept) >= 2
-        again = buchberger(FORWARD_INPUTS, SIGMA_ORDER)
+        again = compute_strength(p, order_names=("x", "t", "y", "s")).basis
         assert again.elements == gb.elements
         for f, g in zip(gb.elements, again.elements):
             assert all(s is t for s, t in zip(f.terms, g.terms))
@@ -774,8 +783,8 @@ def _coefficient_types(elements):
     ids=["over-q-a", "over-q"],
 )
 def test_every_coefficient_leaves_as_fraction_or_rational_function(inputs, order):
-    # integral coefficients are ints inside the reducer; the interning pool
-    # keys on type, so an int escaping would split it
+    # integral coefficients are ints inside the reducer; the report pool of
+    # dimpoly.pipeline keys on type, so an int escaping would split it
     traced = []
     gb = buchberger(inputs, order, track_cofactors=True, trace=lambda *pair: traced.append(pair[2]))
     f = Element.from_pairs([(3, (2,) * len(order.sequence), 0), (-2, (1,) * len(order.sequence), 0)])

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+import dimpoly.pipeline
 from dimpoly import (
     Element,
     Presentation,
     Term,
+    compute_strength,
     embed_element,
     embed_presentation,
     saturation_relations,
@@ -83,12 +85,16 @@ class TestSaturation:
         b = saturation_relations(3, 2)
         assert len(b) == 6 and all(x is y for x, y in zip(a, b))
 
-    def test_embeddings_share_relations(self):
+    def test_embeddings_share_relations(self, monkeypatch):
+        # equal reports share their doubled systems; the saturation
+        # relations are shared by their own cache
+        monkeypatch.setattr(dimpoly.pipeline, "_pool", {})
         rel = el0((1, (1, -1)), (-1, (0, 0)))
         p = Presentation(kind="inversive", operators=("x", "t"), unknowns=("u",), relations=(rel,))
-        first, second = embed_presentation(p).relations, embed_presentation(p).relations
-        assert first == second
+        first, second = (compute_strength(p).working.relations for _ in range(2))
+        assert first == second == embed_presentation(p).relations
         assert all(x is y for x, y in zip(first[1:], second[1:]))
+        assert all(x is y for x, y in zip(first[1:], saturation_relations(2, 1)))
         assert first[0].terms.keys() == second[0].terms.keys()
         assert all(s is t for s, t in zip(first[0].terms, second[0].terms))
 

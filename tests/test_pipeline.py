@@ -1,12 +1,16 @@
 import gc
 import json
 import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-import dimpoly.freemodule
+import dimpoly.pipeline
 from dimpoly import (
     Presentation,
+    RationalFunction,
+    Term,
     builtin_system,
     compute_strength,
     expand_binomial_basis,
@@ -17,8 +21,12 @@ from dimpoly import (
     report_to_text,
 )
 from dimpoly.builtin_systems import builtin_scheme
+from dimpoly.dimension import dimension_polynomial, staircase_from_basis
+from dimpoly.freemodule import _raw
+from dimpoly.groebner import autoreduce, buchberger
+from dimpoly.inversive import embed_presentation, saturation_relations
 from dimpoly.pipeline import compare_reports, resolve_order
-from dimpoly.schemes import rule_spec
+from dimpoly.schemes import discretize, rule_spec
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +68,9 @@ class TestComputeStrength:
         from dimpoly import parse_system
 
         src = "kind difference\noperators x t\nunknowns u\nrelation t*u - x^2*u\n"
-        doc = compute_strength(parse_system(src).presentation, system_name="shifted")
-        assert doc.working is doc.presentation  # no operator doubling
+        p = parse_system(src).presentation
+        doc = compute_strength(p, system_name="shifted")
+        assert doc.working is doc.presentation is p  # no operator doubling, no copy
         assert doc.dim.polynomial == parse_poly("2*t+1")
         assert doc.validation.ok
 
@@ -91,6 +100,7 @@ SWEEP_STYLE = (
     "kind differential\noperators x y t\nunknowns u v\n"
     "relation t*u + (1/2)*x^2*v + (-3)*x*u\nrelation t*v + 2*y*u + x*y*v\n"
 )
+SWEEP_RULES = {"x": "central", "y": "central2", "t": "forward"}
 
 
 class TestRepeatedCase:
@@ -98,10 +108,14 @@ class TestRepeatedCase:
     keeping many reports costs little more than keeping one."""
 
     @pytest.fixture
-    def run(self, monkeypatch):
-        monkeypatch.setattr(dimpoly.freemodule, "_canonical", {})  # a fresh pool
+    def pool(self, monkeypatch):
+        monkeypatch.setattr(dimpoly.pipeline, "_pool", {})  # a fresh pool
+        return dimpoly.pipeline._pool
+
+    @pytest.fixture
+    def run(self, pool):
         p = parse_system(SWEEP_STYLE).presentation
-        scheme = rule_spec({"x": "central", "y": "central2", "t": "forward"}, p.operators)
+        scheme = rule_spec(SWEEP_RULES, p.operators)
         return lambda: compute_strength(p, scheme=scheme)
 
     def test_second_run_returns_the_same_parts(self, run):
@@ -114,6 +128,69 @@ class TestRepeatedCase:
         assert again.basis.order is first.basis.order
         assert again.staircase is first.staircase
         assert again.dim.polynomial is first.dim.polynomial
+        assert again.dim.binomial_coeffs is first.dim.binomial_coeffs
+        assert again.validation is first.validation
+        assert again.scheme_description is first.scheme_description
+        assert again is not first and again.presentation is first.presentation
+
+    def test_equal_terms_and_coefficients_become_one_object(self, pool):
+        p = parse_system(SWEEP_STYLE).presentation
+        docs = [
+            compute_strength(p, scheme=rule_spec(rules, p.operators))
+            for rules in (SWEEP_RULES, {"x": "forward", "y": "backward", "t": "forward"})
+        ]
+        # the saturation relations keep their own parts: their cache shares them
+        cached = saturation_relations(3, 2)
+        elements = [
+            g
+            for doc in docs
+            for g in (*doc.working.relations, *doc.basis)
+            if not any(g is f for f in cached)
+        ]
+        terms, coeffs = {}, {}
+        for g in elements:
+            for t, c in g.terms.items():
+                assert terms.setdefault(t, t) is t
+                assert coeffs.setdefault((type(c), c), c) is c
+        # the two reports have different bases with terms in common
+        assert docs[0].basis != docs[1].basis
+        assert set(docs[0].basis.elements[0].terms) & {t for g in docs[1].basis for t in g.terms}
+
+    def test_basis_element_equal_to_a_working_relation_is_that_relation(self, pool):
+        p = parse_system(SWEEP_STYLE).presentation
+        sweep = compute_strength(p, scheme=rule_spec(SWEEP_RULES, p.operators))
+        src = "kind {}\noperators x t\nunknowns u\nrelation x*u - t*u\n"
+        shift, plain = (
+            compute_strength(parse_system(src.format(kind)).presentation)
+            for kind in ("inversive", "difference")
+        )
+        for doc in (sweep, shift, plain):
+            kept = [g for g in doc.basis if g in doc.working.relations]
+            assert kept and all(any(g is f for f in doc.working.relations) for g in kept)
+        # the embedded relation too, not only the saturation relations, and
+        # the caller's relation of a system that is not doubled
+        assert any(g is shift.working.relations[0] for g in shift.basis)
+        assert plain.basis.elements == plain.presentation.relations
+
+    def test_int_and_fraction_coefficients_are_pooled_apart(self, run):
+        doc = run()
+        cached = saturation_relations(3, 2)
+        pooled_ones = [
+            c for g in doc.basis if not any(g is f for f in cached) for c in g.terms.values() if c == 1
+        ]
+        assert pooled_ones and {type(c) for c in pooled_ones} == {Fraction}
+        # a working relation whose int coefficients equal pooled Fractions
+        m = doc.working.num_operators
+        with_int = _raw({Term(0, (9,) * m): 1, Term(0, (0,) * m): -1})
+        twin = replace(doc, working=replace(doc.working, relations=(*doc.working.relations, with_int)))
+        pooled = dimpoly.pipeline._pooled(twin)
+        assert pooled.working.relations[-1] is not with_int
+        assert [type(c) for c in pooled.working.relations[-1].terms.values()] == [int, int]
+        # and a Fraction pooled after it stays a Fraction
+        again = compute_strength(
+            builtin_system("diffusion"), scheme=builtin_scheme("diffusion", "forward")
+        )
+        assert {type(c) for g in again.basis for c in g.terms.values()} == {Fraction, RationalFunction}
 
     def test_kept_reports_retain_little(self, run):
         run(), run()
@@ -129,6 +206,31 @@ class TestRepeatedCase:
             if started:
                 tracemalloc.stop()
         assert per_report < 2048
+
+
+class TestStagesKeepNoState:
+    """Only compute_strength pools report parts; the stages return plain values."""
+
+    def test_stage_calls_leave_the_pool_alone(self, monkeypatch):
+        monkeypatch.setattr(dimpoly.pipeline, "_pool", {})
+        p = builtin_system("diffusion")
+        scheme = builtin_scheme("diffusion", "forward")
+        doc = compute_strength(p, scheme=scheme)
+        pooled = dict(dimpoly.pipeline._pool)
+        assert pooled and doc.presentation is p
+
+        working = embed_presentation(discretize(p, scheme))
+        gb = buchberger(working.relations, doc.basis.order)
+        reduced = autoreduce(gb.elements, gb.order)
+        stair = staircase_from_basis(reduced, gb.order, q=1, n=4)
+        dim = dimension_polynomial(stair, kind="inversive")
+        assert dimpoly.pipeline._pool == pooled
+        # equal to the report's parts, but copies of their own
+        assert (working, gb, dim) == (doc.working, doc.basis, doc.dim)
+        assert working.operators is not doc.working.operators
+        assert working.relations[0] is not doc.working.relations[0]
+        assert not any(f is g for f, g in zip(reduced, doc.basis))
+        assert dim.polynomial is not doc.dim.polynomial
 
 
 class TestJsonReport:
