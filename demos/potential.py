@@ -25,13 +25,14 @@ fwd = compute_strength(
 )
 print(f"forward: psi(t) = {poly_str(fwd.dim.polynomial)}")
 
-# Re-derive the forward polynomial from raw counts alone: enumerate free
-# grid values up to r0+8 and interpolate the unique degree-<=8 polynomial.
+# Re-derive the forward polynomial from raw counts alone: count the free
+# terms of every order up to r0+8 and interpolate the unique degree-<=8
+# polynomial.
 r0 = fwd.dim.validity_threshold
 counts = free_term_counts(fwd.staircase, r0 + 8)
 points = [(r, counts[r]) for r in range(r0, r0 + 9)]
 independent = lagrange_interpolate(points)
-print(f"  interpolation of exhaustive counts: {poly_str(independent)}")
+print(f"  interpolation of exact counts: {poly_str(independent)}")
 print(f"  agrees with the symbolic route: {independent == fwd.dim.polynomial}")
 
 sym = compute_strength(

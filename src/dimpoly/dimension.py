@@ -9,11 +9,16 @@ sum_{i <= n} h_i C(r + n - i, n - i) from the sharp threshold
 max(deg K - n, 0) on.  So the polynomial's coefficients in the binomial basis
 C(t + d, d) are the integers c_d = h_{n-d}, read off K with integer
 arithmetic; the standard polynomial over Q and the invariants (degree,
-typical dimension, module dimension) all follow from them.  A brute-force
-lattice enumeration serves as the independent counting oracle.  Validation
-requires degree <= n and agreement with one table of oracle counts on n+1 or
-more orders from the threshold, which makes the polynomial the exact
-interpolant of those counts.
+typical dimension, module dimension) all follow from them.
+
+The independent counting oracle counts the free terms of every order exactly,
+without the Hilbert series, by Janet's splitting: x_n^e * s is free exactly
+when s is free of the slice of vectors with last exponent <= e.  The slice
+changes only at the last exponents that occur, and a dominated vector blocks
+nothing new, so no slice needs minimizing.  A brute-force enumeration stays
+as the reference for tests.  Validation requires degree <= n and agreement
+with one table of oracle counts on n+1 or more orders from the threshold,
+which makes the polynomial the exact interpolant of those counts.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, groupby
+from operator import add, itemgetter, sub
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .coefficients import _add, _eval, _mul, _neg, _poly_str, signed_sum
 from .dsl import parse_coefficient
@@ -54,14 +59,11 @@ __all__ = [
 ]
 
 MAX_ORACLE_ROWS = 10_000_000
-# Grid rows that free_term_counts tests and counts at once, so that its masks
-# and np.bincount's intp copy of the sums stay small next to the grid.
-ORACLE_CHUNK_ROWS = 1 << 20
 VALIDATION_WINDOW = 5  # orders past the threshold checked even when n is smaller
 
 
 class OracleBudgetExceeded(ValueError):
-    """The counting oracle would enumerate more than MAX_ORACLE_ROWS terms."""
+    """The counting oracle would cover more than MAX_ORACLE_ROWS terms."""
 
 
 class PolyQ:
@@ -381,57 +383,26 @@ def _exponents_up_to(n: int, r: int):
             yield (k,) + rest
 
 
-def _grid_dtype(r: int) -> type:
-    """The narrowest integer type that holds every exponent and sum up to r."""
-    return np.int8 if r < 1 << 7 else np.int16 if r < 1 << 15 else np.int32
-
-
-def _grid_up_to(n: int, r: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """All N = C(r + n, n) exponent vectors of sum <= r as n contiguous
-    columns (row i of the grid reads columns[c][i] across c), and their sums,
-    all of :func:`_grid_dtype` (r).
-
-    Each level appends one column: a row of sum s repeats once for every last
-    exponent 0..r - s.  The repeat counts and block starts are np.intp, so
-    r + 1 - s cannot overflow the narrow type.  The last column counts up
-    within each block by a cumulative sum of steps that are 1 except at a
-    block start, where the step drops back by the previous block's length;
-    every partial sum lies in 0..r.  The cost is n levels of repeats over at
-    most N rows, and the columns plus sums hold (n + 1)N items of 1, 2 or 4
-    bytes.
-    """
-    dtype = _grid_dtype(r)
-    columns: list[np.ndarray] = []
-    sums = np.zeros(1, dtype=dtype)
-    for _ in range(n):
-        reps = np.subtract(r + 1, sums, dtype=np.intp)
-        starts = np.cumsum(reps) - reps
-        last = np.ones(int(starts[-1] + reps[-1]), dtype=dtype)
-        last[0] = 0
-        last[starts[1:]] = 1 - reps[:-1]
-        np.cumsum(last, out=last)
-        del starts
-        for c, column in enumerate(columns):  # one at a time, freeing the shorter one
-            columns[c] = np.repeat(column, reps)
-        columns.append(last)
-        sums = np.repeat(sums, reps)
-        sums += last
-    return columns, sums
-
-
 def free_term_counts(stair: Staircase, r_max: int) -> list[int]:
-    """Oracle counts for every r in 0..r_max, from one enumeration of the grid.
+    """Exact counts of free terms for every order r in 0..r_max.
 
-    A term is blocked by a staircase vector v when it is >= v in every
-    column, which only needs testing on the columns where v is nonzero.  So
-    the cost past the grid is one comparison pass over the N rows per
-    nonzero exponent of each vector of order <= r_max; a higher vector
-    divides no term of the grid, and a zero vector blocks all of them.  The
-    rows are tested and counted ORACLE_CHUNK_ROWS at a time, so past the
-    grid the call holds a few bytes per row of one chunk.
+    Janet's splitting of the last operator: x_n^e * s is free of an
+    antichain exactly when s is free of the slice {v[:-1] : v[-1] <= e}, so
+    the count of order <= r is the sum over e of the slice's count of order
+    <= r - e.  As e grows the slice gains vectors only when e reaches a last
+    exponent that occurs, so it is one set on each range a <= e < b between
+    them, and that range adds P(r - a) - P(r - b), a window of the running
+    sums P of the slice's counts.  On that range the terms s have order
+    <= r_max - a, so the slice keeps only vectors of that order or less.
+    Each distinct slice is counted once, operator by operator up from none,
+    where the one term, the empty product, is free at every order.  A slice
+    that holds the zero vector blocks every term, so the ranges stop there.
+    No antichain is minimized: a vector above another blocks only terms the
+    lower one blocks already, so the free terms are the same.
 
-    Raises OracleBudgetExceeded before allocating when the enumeration would
-    hold more than MAX_ORACLE_ROWS exponent vectors.
+    Raises OracleBudgetExceeded when the terms of order <= r_max number more
+    than MAX_ORACLE_ROWS, the bound kept from the enumeration this count
+    replaced, so an outside order is refused as before.
     """
     if r_max < 0:
         return []
@@ -441,22 +412,47 @@ def free_term_counts(stair: Staircase, r_max: int) -> list[int]:
             f"the counting oracle up to r={r_max} over {stair.n} operators needs "
             f"{rows} rows, more than the limit of {MAX_ORACLE_ROWS}"
         )
-    columns, sums = _grid_up_to(stair.n, r_max)
-    per_sum = np.zeros(r_max + 1, dtype=np.int64)
-    for antichain in stair.per_generator:
-        if not all(any(v) for v in antichain):
-            continue  # the unit ideal: every term is blocked
-        supports = [[(c, e) for c, e in enumerate(v) if e] for v in antichain if sum(v) <= r_max]
-        for start in range(0, len(sums), ORACLE_CHUNK_ROWS):
-            rows = slice(start, start + ORACLE_CHUNK_ROWS)
-            blocked = np.zeros(len(sums[rows]), dtype=bool)
-            for (c, e), *rest in supports:
-                hit = columns[c][rows] >= e
-                for c, e in rest:
-                    hit &= columns[c][rows] >= e
-                blocked |= hit
-            per_sum += np.bincount(sums[rows][~blocked], minlength=r_max + 1)
-    return np.cumsum(per_sum).tolist()
+    size = r_max + 1
+    tops = [
+        frozenset(v for v in antichain if sum(v) <= r_max)
+        for antichain in stair.per_generator
+        if all(any(v) for v in antichain)  # a zero vector blocks every term
+    ]
+    # slices[k]: each slice over k operators -> its ranges (a, b, slice over k - 1)
+    slices: list[dict] = [{} for _ in range(stair.n + 1)]
+    slices[stair.n] = dict.fromkeys(tops)
+    for k in range(stair.n, 0, -1):
+        for antichain in slices[k]:
+            slices[k][antichain] = ranges = []
+            start, below = 0, {}  # slice vector -> its order
+            for e, group in groupby(sorted(antichain, key=itemgetter(-1)), itemgetter(-1)):
+                if e > start:
+                    ranges.append((start, e, _orders_up_to(below, r_max - start)))
+                group = [v[:-1] for v in group]
+                if not all(map(any, group)):
+                    break  # the zero vector: no term is free from e on
+                below.update((v, sum(v)) for v in group)
+                start = e
+            else:
+                ranges.append((start, size, _orders_up_to(below, r_max - start)))
+            slices[k - 1].update(dict.fromkeys(below for _, _, below in ranges))
+    counts = {frozenset(): [1] * size}
+    for k in range(1, stair.n + 1):
+        running = {antichain: list(accumulate(c)) for antichain, c in counts.items()}
+        counts = {}
+        for antichain, ranges in slices[k].items():
+            total = [0] * size
+            for a, b, below in ranges:
+                window = running[below]
+                total[a:] = map(add, total[a:], window)
+                total[b:] = map(sub, total[b:], window)
+            counts[antichain] = total
+    return [sum(c) for c in zip(*(counts[t] for t in tops))] if tops else [0] * size
+
+
+def _orders_up_to(orders: dict, r: int) -> frozenset:
+    """The vectors of order <= r: higher ones block no term the slice counts."""
+    return frozenset(v for v, d in orders.items() if d <= r)
 
 
 def lagrange_interpolate(points: Sequence[tuple[int, int]]) -> PolyQ:

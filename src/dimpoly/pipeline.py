@@ -66,7 +66,7 @@ def resolve_order(p: Presentation, order_names: tuple[str, ...] | None) -> TermO
     missing = [n for n in order_names if n not in index]
     if missing:
         raise ValueError(f"order references undeclared operators {missing}")
-    if len(set(order_names)) != len(p.operators):
+    if sorted(order_names) != sorted(p.operators):
         raise ValueError("order must list every operator exactly once")
     return TermOrder(tuple(index[n] for n in order_names))
 

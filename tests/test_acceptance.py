@@ -2,7 +2,7 @@
 one PASS/FAIL line (visible with pytest -s; always printed on failure).
 
 Published regression targets are asserted exactly.  Two published polynomials
-contain typos that exhaustive counting adjudicates; the corrected values are
+contain typos that exact counting adjudicates; the corrected values are
 frozen here and derived again at runtime (see also the README notes):
 
   * potential forward: printed with two quadratic terms; the true polynomial
@@ -158,7 +158,7 @@ def test_criterion_06(maxwell_forward, maxwell_symmetric):
     # all unambiguous printed coefficients match
     for k, value in ((4, 4), (3, Fraction(56, 3)), (2, 36), (0, 22)):
         assert doc.dim.polynomial.coefficient(k) == value
-    # exhaustive counting adjudicates the linear term
+    # exact counting adjudicates the linear term
     assert doc.validation.ok
     r0, n = doc.dim.validity_threshold, doc.staircase.n
     counts = free_term_counts(doc.staircase, r0 + n)
@@ -207,7 +207,7 @@ def test_criterion_08(potential_forward):
     # printed coefficients that are unambiguous
     assert p.coefficient(3) == 15
     assert p.coefficient(0) == 2
-    # the full polynomial must equal the interpolation of exhaustive counts
+    # the full polynomial must equal the interpolation of exact counts
     r0 = fwd.dim.validity_threshold
     counts = free_term_counts(fwd.staircase, r0 + 8)
     interpolated = lagrange_interpolate([(r, counts[r]) for r in range(r0, r0 + 9)])

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -51,6 +54,18 @@ class TestCompute:
         assert code == 0
         assert "[39999, 40004] and interpolation: ok" in out
         assert out.rstrip().endswith("psi(t) = 40000")
+
+    def test_runs_without_numpy(self):
+        # numpy made unimportable before the package loads
+        script = (
+            "import sys; sys.modules['numpy'] = None\n"
+            "from dimpoly.cli import main\n"
+            "sys.exit(main(['compute', '--builtin', 'maxwell', '--scheme', 'symmetric']))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.rstrip().endswith("= 4*t^4+56/3*t^3+36*t^2+64/3*t+22")
 
     def test_per_operator_rules_match_preset(self, capsys):
         code, out1, _ = run(
@@ -131,6 +146,17 @@ class TestErrors:
         code, out, err = run(capsys, "compute", "--builtin", "diffusion", "--order", "t,q")
         assert code == 1
         assert err == "error: order references undeclared operators ['q']\n"
+
+    @pytest.mark.parametrize(
+        "args", [("diffusion", "x,t,t"), ("maxwell", "x,y,z,t,t")], ids=["diffusion", "maxwell"]
+    )
+    def test_repeated_order_operator(self, capsys, args):
+        builtin, order = args
+        code, out, err = run(
+            capsys, "compute", "--builtin", builtin, "--scheme", "forward", "--order", order
+        )
+        assert code == 1
+        assert not out and err == "error: order must list every operator exactly once\n"
 
     @pytest.mark.parametrize("case", ["json-arrays", "report-parentheses", "system-parentheses"])
     def test_deep_nesting_exits_1(self, capsys, tmp_path, case):
@@ -252,11 +278,11 @@ class TestOracleCheck:
         assert code == 0  # r below the validity threshold never fails the check
 
     def test_oracle_budget_exits_3(self, capsys, monkeypatch):
-        # C(100002, 2) ~ 5e9 rows: refused before the grid is built
+        # C(100002, 2) ~ 5e9 rows: refused before counting
         code, _, err = run(capsys, "oracle-check", "--builtin", "diffusion", "--r", "100000")
         assert code == 3
         assert "limit" in err
-        # validating diffusion enumerates C(7, 2) = 21 rows
+        # validating diffusion counts up to r = 5 over 2 operators: C(7, 2) = 21 rows
         monkeypatch.setattr(dimpoly.dimension, "MAX_ORACLE_ROWS", 20)
         code, out, err = run(capsys, "compute", "--builtin", "diffusion")
         assert code == 3

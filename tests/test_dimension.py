@@ -5,9 +5,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -30,8 +28,6 @@ from dimpoly import (
 )
 from dimpoly.dimension import (
     MAX_ORACLE_ROWS,
-    _exponents_up_to,
-    _grid_up_to,
     binomial_poly,
     free_term_count_oracle,
     lagrange_interpolate,
@@ -98,6 +94,10 @@ class TestOracle:
             )
             counts = free_term_counts(stair, 8)
             assert counts == [free_term_count_oracle(stair, r) for r in range(9)]
+        # exponents and orders reaching 127 and 128
+        for r in (127, 128):
+            stair = Staircase.build([[(r, 0, 0), (60, 67, 0), (1, 1, 126)], [(0, 0, r)], []], 3)
+            assert free_term_counts(stair, r)[-1] == free_term_count_oracle(stair, r)
 
     def test_budget_refused_before_enumerating(self):
         stair = Staircase.build([[(30,) + (0,) * 7]], 8)
@@ -112,21 +112,10 @@ class TestOracle:
         counts = free_term_counts(stair, 40000)
         assert counts[-1] == free_term_count_oracle(stair, 40000) == 37000 + 2 * 40001
         assert counts[36999] == free_term_count_oracle(stair, 36999)
-        # vectors beyond the grid's order divide none of its terms
+        # vectors of order above r_max divide none of the counted terms
         assert free_term_counts(stair, 5) == [3 * (r + 1) for r in range(6)]
 
-    @pytest.mark.parametrize("r", [127, 128])
-    def test_narrow_grid_matches_int32(self, r, monkeypatch):
-        # r = 127 is the last order held in int8, 128 the first in int16;
-        # exponents and sums reach r at both
-        assert np.dtype(dimension._grid_dtype(r)).itemsize == (1 if r < 128 else 2)
-        stair = Staircase.build([[(r, 0, 0), (60, 67, 0), (1, 1, 126)], [(0, 0, r)], []], 3)
-        counts = free_term_counts(stair, r)
-        monkeypatch.setattr(dimension, "_grid_dtype", lambda r: np.int32)
-        assert counts == free_term_counts(stair, r)
-        assert counts[-1] == free_term_count_oracle(stair, r)
-
-    def test_one_operator_grid_is_linear_in_r(self):
+    def test_one_operator_is_linear_in_r(self):
         # the row budget admits r up to 9,999,999 on one operator; building
         # the grid with a Python loop per order took 15 s on a 2-CPU Xeon
         start = time.perf_counter()
@@ -135,22 +124,23 @@ class TestOracle:
         assert type(counts[-1]) is int
         assert time.perf_counter() - start < 5
 
-    def test_counting_holds_no_more_than_the_grid(self):
-        # at the row budget (8 operators, r = 23: 7,888,725 rows) counting
-        # every free row at once widened their sums to an intp copy, 36.5 MB
-        # past the grid's own peak
+    def test_row_budget_in_little_memory(self):
+        # at the row budget (8 operators, r = 23: 7,888,725 terms) the
+        # enumeration peaked near 87 MB; the count holds a few lists of r + 1
         stair = Staircase.build([[(3,) + (0,) * 7]], 8)
         tracemalloc.start()
         try:
-            _grid_up_to(8, 23)
-            grid_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
             counts = free_term_counts(stair, 23)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert counts[-1] == sum(math.comb(30 - e, 7) for e in range(3))
-        assert peak < grid_peak + 8 * 2**20
+        assert peak < 2**20
+
+    def test_many_operators(self):
+        # one slice per operator, counted without recursing 1,500 deep
+        stair = Staircase.build([[(1,) + (0,) * 1499], []], 1500)
+        assert free_term_counts(stair, 1) == [2, 3001]
 
 
 class TestDimensionPolynomial:
@@ -284,11 +274,11 @@ class TestOracleTable:
         counts = free_term_counts(stair, r_max)
         assert counts == [free_term_count_oracle(stair, r) for r in range(r_max + 1)]
 
-    @given(sparse_staircases(), st.integers(0, 5), st.integers(1, 64))
-    def test_rows_counted_in_chunks(self, stair, r_max, chunk):
-        with mock.patch.object(dimension, "ORACLE_CHUNK_ROWS", chunk):
-            counts = free_term_counts(stair, r_max)
-        assert counts == [free_term_count_oracle(stair, r) for r in range(r_max + 1)]
+    def test_independent_of_the_symbolic_route(self, monkeypatch):
+        expected = [free_term_count_oracle(FORWARD_STAIRCASE, r) for r in range(7)]
+        for name in ("_hilbert_numerator", "_minimal_antichain", "_add", "_eval", "_mul", "_neg"):
+            monkeypatch.setattr(dimension, name, None)
+        assert free_term_counts(FORWARD_STAIRCASE, 6) == expected
 
     def test_zero_vector_blocks_every_row(self):
         zero = (0,) * 8
@@ -310,16 +300,6 @@ class TestOracleTable:
         assert free_term_counts(stair, 2) == free[:3]
         assert free_term_counts(stair, 4) == [free_term_count_oracle(stair, r) for r in range(5)]
         assert free_term_counts(stair, 4)[3] == free[3] - 1
-
-    @pytest.mark.parametrize("n", range(5))
-    def test_grid_rows(self, n):
-        for r in range(6):
-            columns, sums = _grid_up_to(n, r)
-            assert len(columns) == n and len(sums) == math.comb(r + n, n)
-            assert all(c.dtype == np.int8 and c.flags.c_contiguous for c in columns)
-            rows = [tuple(int(c[i]) for c in columns) for i in range(len(sums))]
-            assert sorted(rows) == sorted(_exponents_up_to(n, r))
-            assert sums.tolist() == [sum(row) for row in rows]
 
 
 class TestHilbertNumerator:

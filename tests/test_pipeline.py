@@ -93,6 +93,8 @@ class TestComputeStrength:
             resolve_order(p, ("x", "q"))
         with pytest.raises(ValueError):
             resolve_order(p, ("x",))
+        with pytest.raises(ValueError, match="exactly once"):
+            resolve_order(p, ("x", "t", "t"))
 
 
 # A case shaped like the benchmark sweeps: two unknowns, per-operator rules.
