@@ -63,7 +63,9 @@ class TestCompute:
             "sys.exit(main(['compute', '--builtin', 'maxwell', '--scheme', 'symmetric']))\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
         assert done.returncode == 0, done.stderr
         assert done.stdout.rstrip().endswith("= 4*t^4+56/3*t^3+36*t^2+64/3*t+22")
 
@@ -147,11 +149,8 @@ class TestErrors:
         assert code == 1
         assert err == "error: order references undeclared operators ['q']\n"
 
-    @pytest.mark.parametrize(
-        "args", [("diffusion", "x,t,t"), ("maxwell", "x,y,z,t,t")], ids=["diffusion", "maxwell"]
-    )
-    def test_repeated_order_operator(self, capsys, args):
-        builtin, order = args
+    @pytest.mark.parametrize("builtin, order", [("diffusion", "x,t,t"), ("maxwell", "x,y,z,t,t")])
+    def test_repeated_order_operator(self, capsys, builtin, order):
         code, out, err = run(
             capsys, "compute", "--builtin", builtin, "--scheme", "forward", "--order", order
         )
