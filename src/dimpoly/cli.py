@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 input or usage error, 2 mathematical validation
 mismatch (the computed polynomial disagreed with the counting oracle), 3 the
-counting oracle would exceed its size limit (MAX_ORACLE_ROWS counted terms),
+counting oracle would exceed its size limit (MAX_ORACLE_CELLS counts),
 4 Groebner completion would form more than MAX_PAIRS_FORMED critical pairs.
 """
 

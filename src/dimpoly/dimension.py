@@ -37,7 +37,7 @@ from .freemodule import Element, TermOrder
 
 __all__ = [
     "DimPolyReport",
-    "MAX_ORACLE_ROWS",
+    "MAX_ORACLE_CELLS",
     "OracleBudgetExceeded",
     "PolyQ",
     "Staircase",
@@ -58,12 +58,12 @@ __all__ = [
     "validate_polynomial",
 ]
 
-MAX_ORACLE_ROWS = 10_000_000
+MAX_ORACLE_CELLS = 10_000_000
 VALIDATION_WINDOW = 5  # orders past the threshold checked even when n is smaller
 
 
 class OracleBudgetExceeded(ValueError):
-    """The counting oracle would cover more than MAX_ORACLE_ROWS terms."""
+    """The counting oracle would hold more than MAX_ORACLE_CELLS counts."""
 
 
 class PolyQ:
@@ -400,18 +400,12 @@ def free_term_counts(stair: Staircase, r_max: int) -> list[int]:
     No antichain is minimized: a vector above another blocks only terms the
     lower one blocks already, so the free terms are the same.
 
-    Raises OracleBudgetExceeded when the terms of order <= r_max number more
-    than MAX_ORACLE_ROWS, the bound kept from the enumeration this count
-    replaced, so an outside order is refused as before.
+    Each distinct slice holds one count per order, r_max + 1 cells.  Raises
+    OracleBudgetExceeded as soon as the slices found so far need more than
+    MAX_ORACLE_CELLS cells, before any count is made.
     """
     if r_max < 0:
         return []
-    rows = math.comb(r_max + stair.n, stair.n)
-    if rows > MAX_ORACLE_ROWS:
-        raise OracleBudgetExceeded(
-            f"the counting oracle up to r={r_max} over {stair.n} operators needs "
-            f"{rows} rows, more than the limit of {MAX_ORACLE_ROWS}"
-        )
     size = r_max + 1
     tops = [
         frozenset(v for v in antichain if sum(v) <= r_max)
@@ -419,8 +413,10 @@ def free_term_counts(stair: Staircase, r_max: int) -> list[int]:
         if all(any(v) for v in antichain)  # a zero vector blocks every term
     ]
     # slices[k]: each slice over k operators -> its ranges (a, b, slice over k - 1)
-    slices: list[dict] = [{} for _ in range(stair.n + 1)]
-    slices[stair.n] = dict.fromkeys(tops)
+    slices: list[dict] = [{frozenset(): None}] + [{} for _ in range(stair.n)]
+    slices[stair.n].update(dict.fromkeys(tops))
+    found = sum(map(len, slices))
+    _check_budget(found, r_max)
     for k in range(stair.n, 0, -1):
         for antichain in slices[k]:
             slices[k][antichain] = ranges = []
@@ -435,7 +431,10 @@ def free_term_counts(stair: Staircase, r_max: int) -> list[int]:
                 start = e
             else:
                 ranges.append((start, size, _orders_up_to(below, r_max - start)))
+            known = len(slices[k - 1])
             slices[k - 1].update(dict.fromkeys(below for _, _, below in ranges))
+            found += len(slices[k - 1]) - known
+            _check_budget(found, r_max)
     counts = {frozenset(): [1] * size}
     for k in range(1, stair.n + 1):
         running = {antichain: list(accumulate(c)) for antichain, c in counts.items()}
@@ -448,6 +447,16 @@ def free_term_counts(stair: Staircase, r_max: int) -> list[int]:
                 total[b:] = map(sub, total[b:], window)
             counts[antichain] = total
     return [sum(c) for c in zip(*(counts[t] for t in tops))] if tops else [0] * size
+
+
+def _check_budget(slices: int, r_max: int) -> None:
+    """Refuse a count whose slices hold more than MAX_ORACLE_CELLS counts."""
+    cells = slices * (r_max + 1)
+    if cells > MAX_ORACLE_CELLS:
+        raise OracleBudgetExceeded(
+            f"the counting oracle up to r={r_max} needs at least {slices} slices x "
+            f"{r_max + 1} orders = {cells} cells, more than the limit of {MAX_ORACLE_CELLS}"
+        )
 
 
 def _orders_up_to(orders: dict, r: int) -> frozenset:

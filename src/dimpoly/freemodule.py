@@ -121,7 +121,8 @@ class Element:
         return self.terms == other.terms
 
     def __hash__(self):
-        # computed once: dimpoly.pipeline's report pool hashes it again per report part
+        # computed once: dimpoly.pipeline's report pool hashes an element
+        # alone and again inside each report part that holds it
         try:
             return self._hash
         except AttributeError:

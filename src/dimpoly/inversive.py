@@ -12,7 +12,6 @@ generating set before any Groebner computation.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .freemodule import Element, Presentation, Term
 
@@ -49,16 +48,11 @@ def project_element(f: Element, m: int) -> Element:
 
 
 def saturation_relations(m: int, q: int) -> list[Element]:
-    """The relations a_i b_i e_j - e_j for 1 <= i <= m, 1 <= j <= q, built
-    once per (m, q) so that every embedding of that shape shares them."""
-    return list(_saturation(m, q))
-
-
-@lru_cache(maxsize=64)
-def _saturation(m: int, q: int) -> tuple[Element, ...]:
+    """The relations a_i b_i e_j - e_j for 1 <= i <= m, 1 <= j <= q, new
+    objects on every call."""
     zero, one = (0,) * (2 * m), Fraction(1)
     pairing = [tuple(int(k in (i, m + i)) for k in range(2 * m)) for i in range(m)]
-    return tuple(Element({Term(j, e): one, Term(j, zero): -one}) for e in pairing for j in range(q))
+    return [Element({Term(j, e): one, Term(j, zero): -one}) for e in pairing for j in range(q)]
 
 
 def embed_presentation(p: Presentation) -> Presentation:

@@ -29,7 +29,7 @@ from .dimension import (
 from .dsl import render_element
 from .freemodule import Element, Presentation, TermOrder, _raw
 from .groebner import GroebnerBasis, buchberger
-from .inversive import embed_presentation, saturation_relations
+from .inversive import embed_presentation
 from .schemes import SchemeSpec, discretize
 
 __all__ = [
@@ -80,7 +80,8 @@ def compute_strength(
     order_names: tuple[str, ...] | None = None,
     trace: Callable[[str], None] | None = None,
 ) -> ReportDocument:
-    """Run the full pipeline on a presentation; the report's parts are pooled."""
+    """Run the full pipeline on a presentation; the report's parts are shared
+    with equal parts of earlier reports (see :func:`_shared`)."""
     source = p if scheme is None else discretize(p, scheme)
     working, order = source, resolve_order(source, order_names)
     if source.kind == "inversive":
@@ -94,25 +95,30 @@ def compute_strength(
     if trace is not None:
         on_pair = lambda *pair: trace(_trace_line(working, order, *pair))
     gb = buchberger(working.relations, order, trace=on_pair)
+    # a basis element equal to a working relation becomes that relation, and
+    # the staircase's vectors are the shared basis's exponent tuples
+    if working is not p:
+        working = _shared(working)
+    gb = _shared(gb)
     stair = staircase_from_basis(gb.elements, order, q=working.num_unknowns, n=working.num_operators)
     dim = dimension_polynomial(stair, kind=source.kind)
     validation = validate_polynomial(dim, stair)
-    return _pooled(ReportDocument(
+    return ReportDocument(
         system_name=system_name,
         presentation=p,
         scheme_name=scheme_name,
-        scheme_description=scheme.describe() if scheme else None,
+        scheme_description=_shared(scheme.describe()) if scheme else None,
         working=working,
         basis=gb,
-        staircase=stair,
-        dim=dim,
-        validation=validation,
-    ))
+        staircase=_shared(stair),
+        dim=_shared(dim),
+        validation=_shared(validation),
+    )
 
 
-# The immutable report parts equal reports share (see _pooled); emptied past 2^16.
+# The immutable report parts equal reports share (see _shared); emptied past 2^16.
 _pool: dict = {}
-# The fields pooled one by one inside a pooled value; other values are pooled whole.
+# The fields shared one by one inside a shared value; other values are shared whole.
 _PARTS = {
     Presentation: ("operators", "relations"),
     GroebnerBasis: ("elements", "order"),
@@ -120,37 +126,23 @@ _PARTS = {
 }
 
 
-def _pooled(doc: ReportDocument) -> ReportDocument:
-    """``doc`` with its parts pooled, so that many kept reports cost little
-    more than one.  A basis element equal to a working relation is that
-    relation; the caller's presentation, an undoubled working system and the
-    saturation relations, which their own cache shares, are kept as they are."""
-    working, keep = doc.working, {}
-
-    def pooled(x):
-        if type(x) is tuple and x and isinstance(x[0], Element):
-            return tuple(map(pooled, x))
-        found = keep.get(x) or _pool.get((type(x), x))
-        if found is None:
-            if isinstance(x, Element):
-                x = _raw({pooled(t): pooled(c) for t, c in x.terms.items()})
-            elif type(x) in _PARTS:
-                x = replace(x, **{name: pooled(getattr(x, name)) for name in _PARTS[type(x)]})
-            if len(_pool) > 1 << 16:
-                _pool.clear()
-            found = _pool[type(x), x] = x  # the key holds the pooled value, not a copy
-        return found
-
-    if working is not doc.presentation:
-        keep = {f: f for f in saturation_relations(working.num_operators // 2, working.num_unknowns)}
-        working = pooled(working)
-    keep.update((f, f) for f in working.relations)
-    parts = {n: pooled(getattr(doc, n)) for n in ("scheme_description", "basis", "dim", "validation")}
-    stair = doc.staircase
-    if (Staircase, stair) not in _pool:  # its vectors become those of the basis's terms
-        exps = {t.exps: t.exps for g in parts["basis"] for t in g.terms}
-        stair = Staircase(tuple(tuple(exps[v] for v in vs) for vs in stair.per_generator), stair.n)
-    return replace(doc, working=working, staircase=pooled(stair), **parts)
+def _shared(x):
+    """The pooled value equal to ``x``, pooling ``x`` when there is none, so
+    that many kept reports cost little more than one.  A tuple of elements,
+    each element's terms and coefficients, and the _PARTS fields are shared
+    one by one."""
+    if type(x) is tuple and x and isinstance(x[0], Element):
+        return tuple(map(_shared, x))
+    found = _pool.get((type(x), x))
+    if found is None:
+        if isinstance(x, Element):
+            x = _raw({_shared(t): _shared(c) for t, c in x.terms.items()})
+        elif type(x) in _PARTS:
+            x = replace(x, **{name: _shared(getattr(x, name)) for name in _PARTS[type(x)]})
+        if len(_pool) > 1 << 16:
+            _pool.clear()
+        found = _pool[type(x), x] = x  # the key holds the pooled value, not a copy
+    return found
 
 
 def _trace_line(working: Presentation, order: TermOrder, i, j, s, chain, added) -> str:

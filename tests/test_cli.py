@@ -277,15 +277,30 @@ class TestOracleCheck:
         assert code == 0  # r below the validity threshold never fails the check
 
     def test_oracle_budget_exits_3(self, capsys, monkeypatch):
-        # C(100002, 2) ~ 5e9 rows: refused before counting
-        code, _, err = run(capsys, "oracle-check", "--builtin", "diffusion", "--r", "100000")
+        # diffusion has 3 slices: 3 x 10,000,001 cells, refused before counting
+        code, _, err = run(capsys, "oracle-check", "--builtin", "diffusion", "--r", "10000000")
         assert code == 3
         assert "limit" in err
-        # validating diffusion counts up to r = 5 over 2 operators: C(7, 2) = 21 rows
-        monkeypatch.setattr(dimpoly.dimension, "MAX_ORACLE_ROWS", 20)
+        # validating diffusion counts up to r = 5: 3 slices x 6 orders = 18 cells
+        monkeypatch.setattr(dimpoly.dimension, "MAX_ORACLE_CELLS", 17)
         code, out, err = run(capsys, "compute", "--builtin", "diffusion")
         assert code == 3
-        assert not out and "limit of 20" in err
+        assert not out and "limit of 17" in err
+
+    def test_many_operators_within_budget(self, capsys, tmp_path):
+        # the heat equation in six space dimensions validates to r = 15 over
+        # 14 doubled operators, C(29, 14) = 77,558,760 terms but few slices
+        path = tmp_path / "heat6.sys"
+        path.write_text(
+            "kind differential\noperators x1 x2 x3 x4 x5 x6 t\nunknowns u\n"
+            "relation t*u - x1^2*u - x2^2*u - x3^2*u - x4^2*u - x5^2*u - x6^2*u\n"
+        )
+        for scheme in ("forward", "symmetric"):
+            code, out, _ = run(capsys, "compute", str(path), "--scheme", scheme, "--json")
+            assert code == 0 and json.loads(out)["validation"]["ok"] is True
+        # 48,903,492 terms of order <= 30 over maxwell's 8 doubled operators
+        code, out, _ = run(capsys, "oracle-check", "--builtin", "maxwell", "--scheme", "forward", "--r", "30")
+        assert code == 0 and "oracle count at r=30: 3758442" in out
 
     def test_completion_budget_exits_4(self, capsys, monkeypatch):
         # maxwell forward forms 230 pairs

@@ -27,7 +27,7 @@ from dimpoly import (
     validate_polynomial,
 )
 from dimpoly.dimension import (
-    MAX_ORACLE_ROWS,
+    MAX_ORACLE_CELLS,
     binomial_poly,
     free_term_count_oracle,
     lagrange_interpolate,
@@ -100,14 +100,34 @@ class TestOracle:
             assert free_term_counts(stair, r)[-1] == free_term_count_oracle(stair, r)
 
     def test_budget_refused_before_enumerating(self):
+        # 8 operators to r = 30 are C(38, 8) = 48.9M terms, but only one slice
+        # per operator and the empty one: 9 x 31 cells
         stair = Staircase.build([[(30,) + (0,) * 7]], 8)
-        assert math.comb(38, 8) > MAX_ORACLE_ROWS  # 48.9M rows
-        with pytest.raises(OracleBudgetExceeded):
-            free_term_counts(stair, 30)
+        assert free_term_counts(stair, 30)[30] == dimension_polynomial(stair).polynomial(30)
         assert free_term_counts(stair, 2) == [1, 9, 45]
+        # 9 x 1,200,001 cells: refused before any count is made
+        assert 9 * 1_200_001 > MAX_ORACLE_CELLS
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleBudgetExceeded, match="9 slices"):
+                free_term_counts(stair, 1_200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_many_unknowns_refused(self):
+        # one operator to r = 10^6 is 10^6 + 1 terms, but sixteen unknowns
+        # make 16 slices besides the empty one, each of 10^6 + 1 counts
+        stair = Staircase.build([[(j + 1,)] for j in range(16)], 1)
+        start = time.perf_counter()
+        with pytest.raises(OracleBudgetExceeded, match="17 slices"):
+            free_term_counts(stair, 10**6)
+        assert time.perf_counter() - start < 1
+        assert free_term_counts(stair, 20)[-1] == sum(range(1, 17))
 
     def test_orders_beyond_int16(self):
-        # one operator: the row budget admits orders far above 2^15
+        # one operator: the cell budget admits orders far above 2^15
         stair = Staircase.build([[(37000,)], [(50000,)], []], 1)
         counts = free_term_counts(stair, 40000)
         assert counts[-1] == free_term_count_oracle(stair, 40000) == 37000 + 2 * 40001
@@ -116,8 +136,9 @@ class TestOracle:
         assert free_term_counts(stair, 5) == [3 * (r + 1) for r in range(6)]
 
     def test_one_operator_is_linear_in_r(self):
-        # the row budget admits r up to 9,999,999 on one operator; building
-        # the grid with a Python loop per order took 15 s on a 2-CPU Xeon
+        # the cell budget admits r up to 4,999,999 on this staircase of two
+        # slices; building the grid with a Python loop per order took 15 s
+        # at r = 9,999,999 on a 2-CPU Xeon
         start = time.perf_counter()
         counts = free_term_counts(Staircase.build([[(3,)]], 1), 2_000_000)
         assert counts[-1] == 3 and counts[:4] == [1, 2, 3, 3]
@@ -125,7 +146,7 @@ class TestOracle:
         assert time.perf_counter() - start < 5
 
     def test_row_budget_in_little_memory(self):
-        # at the row budget (8 operators, r = 23: 7,888,725 terms) the
+        # at the old row budget (8 operators, r = 23: 7,888,725 terms) the
         # enumeration peaked near 87 MB; the count holds a few lists of r + 1
         stair = Staircase.build([[(3,) + (0,) * 7]], 8)
         tracemalloc.start()

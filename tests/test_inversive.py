@@ -79,22 +79,15 @@ class TestSaturation:
     def test_empty_operator_set(self):
         assert saturation_relations(0, 3) == []
 
-    def test_built_once_per_shape(self):
-        a = saturation_relations(3, 2)
-        a.append(G2)
-        b = saturation_relations(3, 2)
-        assert len(b) == 6 and all(x is y for x, y in zip(a, b))
-
     def test_embeddings_share_relations(self, monkeypatch):
-        # equal reports share their doubled systems; the saturation
-        # relations are shared by their own cache
+        # equal reports share their doubled systems, the saturation
+        # relations included
         monkeypatch.setattr(dimpoly.pipeline, "_pool", {})
         rel = el0((1, (1, -1)), (-1, (0, 0)))
         p = Presentation(kind="inversive", operators=("x", "t"), unknowns=("u",), relations=(rel,))
         first, second = (compute_strength(p).working.relations for _ in range(2))
         assert first == second == embed_presentation(p).relations
         assert all(x is y for x, y in zip(first[1:], second[1:]))
-        assert all(x is y for x, y in zip(first[1:], saturation_relations(2, 1)))
         assert first[0].terms.keys() == second[0].terms.keys()
         assert all(s is t for s, t in zip(first[0].terms, second[0].terms))
 

@@ -24,7 +24,7 @@ from dimpoly.builtin_systems import builtin_scheme
 from dimpoly.dimension import dimension_polynomial, staircase_from_basis
 from dimpoly.freemodule import _raw
 from dimpoly.groebner import autoreduce, buchberger
-from dimpoly.inversive import embed_presentation, saturation_relations
+from dimpoly.inversive import embed_presentation
 from dimpoly.pipeline import compare_reports, resolve_order
 from dimpoly.schemes import discretize, rule_spec
 
@@ -141,14 +141,7 @@ class TestRepeatedCase:
             compute_strength(p, scheme=rule_spec(rules, p.operators))
             for rules in (SWEEP_RULES, {"x": "forward", "y": "backward", "t": "forward"})
         ]
-        # the saturation relations keep their own parts: their cache shares them
-        cached = saturation_relations(3, 2)
-        elements = [
-            g
-            for doc in docs
-            for g in (*doc.working.relations, *doc.basis)
-            if not any(g is f for f in cached)
-        ]
+        elements = [g for doc in docs for g in (*doc.working.relations, *doc.basis)]
         terms, coeffs = {}, {}
         for g in elements:
             for t, c in g.terms.items():
@@ -166,33 +159,40 @@ class TestRepeatedCase:
             compute_strength(parse_system(src.format(kind)).presentation)
             for kind in ("inversive", "difference")
         )
-        for doc in (sweep, shift, plain):
+        for doc in (sweep, shift):
             kept = [g for g in doc.basis if g in doc.working.relations]
             assert kept and all(any(g is f for f in doc.working.relations) for g in kept)
-        # the embedded relation too, not only the saturation relations, and
-        # the caller's relation of a system that is not doubled
+        # the embedded relation too, not only the saturation relations; the
+        # caller's presentation is not pooled, so a system that is not
+        # doubled gets a basis only equal to its relations
         assert any(g is shift.working.relations[0] for g in shift.basis)
+        assert plain.working is plain.presentation
         assert plain.basis.elements == plain.presentation.relations
 
     def test_int_and_fraction_coefficients_are_pooled_apart(self, run):
         doc = run()
-        cached = saturation_relations(3, 2)
-        pooled_ones = [
-            c for g in doc.basis if not any(g is f for f in cached) for c in g.terms.values() if c == 1
-        ]
+        pooled_ones = [c for g in doc.basis for c in g.terms.values() if c == 1]
         assert pooled_ones and {type(c) for c in pooled_ones} == {Fraction}
         # a working relation whose int coefficients equal pooled Fractions
         m = doc.working.num_operators
         with_int = _raw({Term(0, (9,) * m): 1, Term(0, (0,) * m): -1})
-        twin = replace(doc, working=replace(doc.working, relations=(*doc.working.relations, with_int)))
-        pooled = dimpoly.pipeline._pooled(twin)
-        assert pooled.working.relations[-1] is not with_int
-        assert [type(c) for c in pooled.working.relations[-1].terms.values()] == [int, int]
+        twin = replace(doc.working, relations=(*doc.working.relations, with_int))
+        pooled = dimpoly.pipeline._shared(twin)
+        assert pooled.relations[-1] is not with_int
+        assert [type(c) for c in pooled.relations[-1].terms.values()] == [int, int]
         # and a Fraction pooled after it stays a Fraction
         again = compute_strength(
             builtin_system("diffusion"), scheme=builtin_scheme("diffusion", "forward")
         )
         assert {type(c) for g in again.basis for c in g.terms.values()} == {Fraction, RationalFunction}
+
+    def test_staircase_vectors_are_the_basis_exponents(self, run):
+        # the staircase is read off the shared basis, so its vectors are
+        # that basis's exponent tuples, not equal copies
+        for doc in (run(), run()):
+            leads = [g.leading_term(doc.basis.order)[0].exps for g in doc.basis]
+            vectors = [v for vs in doc.staircase.per_generator for v in vs]
+            assert vectors and all(any(v is e for e in leads) for v in vectors)
 
     def test_kept_reports_retain_little(self, run):
         run(), run()
@@ -233,6 +233,12 @@ class TestStagesKeepNoState:
         assert working.relations[0] is not doc.working.relations[0]
         assert not any(f is g for f, g in zip(reduced, doc.basis))
         assert dim.polynomial is not doc.dim.polynomial
+
+    def test_embeddings_build_their_own_saturation_relations(self):
+        source = discretize(builtin_system("diffusion"), builtin_scheme("diffusion", "forward"))
+        first, second = embed_presentation(source), embed_presentation(source)
+        assert first.relations == second.relations
+        assert not any(f is g for f, g in zip(first.relations, second.relations))
 
 
 class TestJsonReport:
