@@ -93,6 +93,8 @@ def _resolve_scheme(args, presentation):
             op, sep, rule = item.partition("=")
             if not sep:
                 raise ValueError(f"malformed --rule {item!r}, expected OP=RULE")
+            if op in assignments:
+                raise ValueError(f"rule given more than once for operator {op!r}")
             assignments[op] = rule
         label = ",".join(f"{op}={rule}" for op, rule in assignments.items())
         return rule_spec(assignments, presentation.operators), label
@@ -100,7 +102,7 @@ def _resolve_scheme(args, presentation):
 
 
 def _parse_order(args):
-    if not args.order:
+    if args.order is None:
         return None
     return tuple(n.strip() for n in args.order.split(",") if n.strip())
 

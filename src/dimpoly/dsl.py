@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .coefficients import Coeff, RationalFunction, coeff_str, parameter_symbol, signed_sum
-from .freemodule import KINDS, Element, Presentation, Term, TermOrder
+from .freemodule import KINDS, Element, Presentation, Term, TermOrder, _accumulate, _raw
 
 __all__ = [
     "DslError",
@@ -159,7 +159,7 @@ class _ExprParser:
 
     def parse_sum(self, module: bool):
         # a module sum collects its terms in one dict, so parsing is linear
-        # in the number of terms; the Element is built once at the end
+        # in the number of terms; the Element is wrapped once at the end
         terms: dict[Term, Coeff] = {}
         total: Coeff = Fraction(0)
         sign = 1
@@ -171,20 +171,15 @@ class _ExprParser:
             start = self.peek()
             part = self.parse_product(module, sign)
             if module:
-                for t, c in part.terms.items():
-                    if t in terms:
-                        c = terms[t] + c
-                    _check_degree(_degrees(c), start)
-                    if c:
-                        terms[t] = c
-                    else:
-                        terms.pop(t, None)
+                _accumulate(terms, part)
+                for t in part.terms:
+                    _check_degree(_degrees(terms.get(t, 0)), start)
             else:
                 total = total + part
                 _check_degree(_degrees(total), start)
             tok = self.peek()
             if not (tok.kind == "SYM" and tok.text in "+-"):
-                return Element(terms) if module else total
+                return _raw(terms) if module else total
             self.take()
             sign = -1 if tok.text == "-" else 1
 

@@ -7,13 +7,14 @@ Module elements are finite K-linear combinations of terms with coefficients
 from :mod:`dimpoly.coefficients`.  Exponents are nonnegative except in
 presentations of kind ``inversive``, where they live in Z^m.
 
-All values here are immutable; orders are pure comparison keys.
+All values here are immutable; orders are pure comparison keys.  Terms are
+merged in one loop, :func:`_accumulate`: element arithmetic, discretized
+relations, parsed sums and Groebner cofactors all add through it in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, le
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -106,9 +107,8 @@ class Element:
         """Build from (coefficient, exponent vector, generator) triples."""
         acc: dict[Term, Coeff] = {}
         for c, exps, gen in pairs:
-            t = Term(gen, tuple(exps))
-            acc[t] = acc.get(t, Fraction(0)) + as_coeff(c)
-        return cls(acc)
+            _accumulate(acc, cls({Term(gen, tuple(exps)): c}))
+        return _raw(acc)
 
     # -- vector space structure ---------------------------------------------
 
@@ -131,33 +131,17 @@ class Element:
             return h
 
     def __add__(self, other: "Element") -> "Element":
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            s = out.get(t, Fraction(0)) + c
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
-        return _raw(out)
+        return _raw(_accumulate(dict(self.terms), other))
 
     def __sub__(self, other: "Element") -> "Element":
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            s = out.get(t, Fraction(0)) - c
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
-        return _raw(out)
+        return _raw(_accumulate(dict(self.terms), other, -1))
 
     def __neg__(self) -> "Element":
         return _raw({t: -c for t, c in self.terms.items()})
 
     def scaled(self, c) -> "Element":
         c = as_coeff(c)
-        if not c:
-            return _raw({})
-        return _raw({t: c * x for t, x in self.terms.items()})
+        return _raw(_accumulate({}, self, c) if c else {})
 
     # -- order-dependent views ----------------------------------------------
 
@@ -186,16 +170,30 @@ def _raw(terms: dict[Term, Coeff]) -> Element:
     return e
 
 
+def _accumulate(acc: dict, f: Element, c: Coeff = 1, shift: tuple[int, ...] | None = None) -> dict:
+    """Add c * x^shift * f into the term dict ``acc`` in place, deleting
+    every term that cancels, and return ``acc``: the one merge loop for
+    module elements.  ``c`` is a nonzero coefficient or int."""
+    scale = c != 1
+    move = shift is not None and any(shift)
+    for t, x in f.terms.items():
+        if move:
+            t = Term(t.gen, tuple(map(add, t.exps, shift)))
+        if scale:
+            x = c * x
+        y = acc.get(t)
+        if y is None:
+            acc[t] = x
+        elif y := y + x:
+            acc[t] = y
+        else:
+            del acc[t]
+    return acc
+
+
 def apply_monomial(exps: tuple[int, ...], f: Element) -> Element:
     """Act on f by the operator monomial with the given exponent vector."""
-    if not any(exps):
-        return f
-    return _raw(
-        {
-            Term(t.gen, tuple(map(add, t.exps, exps))): c
-            for t, c in f.terms.items()
-        }
-    )
+    return _raw(_accumulate({}, f, shift=exps)) if any(exps) else f
 
 
 def combine(cof: Element, gens: Sequence[Element]) -> Element:
@@ -206,9 +204,8 @@ def combine(cof: Element, gens: Sequence[Element]) -> Element:
     """
     acc: dict[Term, Coeff] = {}
     for t, c in cof.terms.items():
-        for s, x in apply_monomial(t.exps, gens[t.gen]).terms.items():
-            acc[s] = acc[s] + c * x if s in acc else c * x
-    return _raw({s: x for s, x in acc.items() if x})
+        _accumulate(acc, gens[t.gen], c, t.exps)
+    return _raw(acc)
 
 
 @dataclass(frozen=True, slots=True)

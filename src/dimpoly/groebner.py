@@ -47,12 +47,14 @@ for the i-th input (zero inputs keep their position), and it takes the same
 monomial shifts, scalings and differences as the element it tracks;
 ``combine(cof, inputs)`` from :mod:`dimpoly.freemodule` expands it back to
 that element.  Cofactor orders are not bounded by the element's, so
-cofactors stay unpacked.  A monic entry makes an S-polynomial a plain
-difference of shifts and a reduction factor the coefficient being
-cancelled, so a leading coefficient is divided out once per entry instead of
-in every pair and step.  S-polynomials and reductions do not change when an
-element is multiplied by a nonzero constant, so this leaves every result as
-it is.
+cofactors stay unpacked.  During one reduction the cofactor is one term
+dict, updated in place by :func:`~dimpoly.freemodule._accumulate` at every
+step and wrapped as an :class:`Element` once at the end.  A monic entry
+makes an S-polynomial a plain difference of shifts and a reduction factor
+the coefficient being cancelled, so a leading coefficient is divided out
+once per entry instead of in every pair and step.  S-polynomials and
+reductions do not change when an element is multiplied by a nonzero
+constant, so this leaves every result as it is.
 
 :func:`autoreduce` also makes every element monic and sorts the basis into a
 deterministic canonical form.
@@ -80,7 +82,7 @@ from operator import lshift
 from typing import Callable, Iterable, Sequence
 
 from .coefficients import Coeff, _small, inverse
-from .freemodule import Element, Term, TermOrder, apply_monomial
+from .freemodule import Element, Term, TermOrder, _accumulate, _raw
 
 __all__ = [
     "CompletionBudgetExceeded",
@@ -282,11 +284,10 @@ def _s_poly(a: _Tracked, b: _Tracked, lcm: int):
             s[t] = x
         else:
             del s[t]
-    cof = None
-    if a.cof is not None:
-        exps = a.layout.exps
-        cof = apply_monomial(exps(u1), a.cof) - apply_monomial(exps(u2), b.cof)
-    return s, cof
+    if a.cof is None:
+        return s, None
+    exps = a.layout.exps
+    return s, _raw(_accumulate(_accumulate({}, a.cof, shift=exps(u1)), b.cof, -1, exps(u2)))
 
 
 def _reduce(f, cof, divisors: _Divisors, order: TermOrder, full: bool, chain=None):
@@ -296,11 +297,11 @@ def _reduce(f, cof, divisors: _Divisors, order: TermOrder, full: bool, chain=Non
     The first entry in list order whose leading term divides the current
     leading term is used.  Head mode stops at the first irreducible leading
     term; full mode moves it to the remainder and continues with the tail.
-    ``cof`` (when not None) is updated alongside, and ``chain`` (when given)
-    receives the index of each divisor used.  Returns (remainder, cof,
-    steps).  f is an :class:`Element` or packed rows (a dict from packed
-    term to coefficient, left unchanged); the remainder comes back in the
-    same form.
+    ``cof`` (when not None) is updated alongside, as one term dict changed
+    in place, and ``chain`` (when given) receives the index of each divisor
+    used.  Returns (remainder, cof, steps).  f is an :class:`Element` or
+    packed rows (a dict from packed term to coefficient, left unchanged);
+    the remainder comes back in the same form.
 
     The remainder is one mutable packed term -> coefficient dict, changed in
     place.  Its terms sit in a heap of negated packed terms, so the heap top
@@ -315,6 +316,7 @@ def _reduce(f, cof, divisors: _Divisors, order: TermOrder, full: bool, chain=Non
     layout = _layout(order.sequence)
     packed = isinstance(f, dict)
     rem = dict(f) if packed else layout.rows(f)
+    cof = None if cof is None else dict(cof.terms)
     heap = [-t for t in rem]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
@@ -348,12 +350,12 @@ def _reduce(f, cof, divisors: _Divisors, order: TermOrder, full: bool, chain=Non
             else:
                 del rem[s]
         if cof is not None:
-            cof = cof - apply_monomial(layout.exps(lam), g.cof).scaled(c)
+            _accumulate(cof, g.cof, -c, layout.exps(lam))
         if chain is not None:
             chain.append(i)
         steps += 1
     rem = done if full else rem
-    return (rem if packed else layout.element(rem)), cof, steps
+    return (rem if packed else layout.element(rem)), cof if cof is None else _raw(cof), steps
 
 
 def buchberger(

@@ -60,7 +60,7 @@ class ReportDocument:
 def resolve_order(p: Presentation, order_names: tuple[str, ...] | None) -> TermOrder:
     """Order layout: total degree, then generator, then the given operator
     sequence (declaration order when unspecified)."""
-    if not order_names:
+    if order_names is None:
         return p.default_order()
     index = {name: i for i, name in enumerate(p.operators)}
     missing = [n for n in order_names if n not in index]

@@ -13,7 +13,7 @@ not, is built by :func:`rule_spec`.
 
 Stencils are multiplied as one-generator :class:`Element`s, by
 :func:`~dimpoly.freemodule.combine`, the same arithmetic that expands
-Groebner cofactors.
+Groebner cofactors, and each relation is summed in one term dict.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .coefficients import Coeff
-from .freemodule import Element, Presentation, Term, combine
+from .freemodule import Element, Presentation, Term, _accumulate, _raw, combine
 
 __all__ = [
     "RULES",
@@ -101,15 +101,15 @@ def discretize(p: Presentation, spec: SchemeSpec) -> Presentation:
     m = p.num_operators
     new_relations = []
     for rel in p.relations:
-        image = Element()
+        image: dict[Term, Coeff] = {}
         for t, c in rel.terms.items():
             # the product of the per-operator stencils, applied to c * e_gen
             term = Element({Term(t.gen, (0,) * m): c})
             for i, k in enumerate(t.exps):
                 if k:
                     term = combine(_stencil(spec.rules[p.operators[i]], k, i, m), [term])
-            image = image + term
-        new_relations.append(image)
+            _accumulate(image, term)
+        new_relations.append(_raw(image))
     return Presentation(
         kind="inversive",
         operators=p.operators,

@@ -1,6 +1,7 @@
 """Shared builders: the worked diffusion elements double as fixtures in
 several suites."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,29 @@ settings.register_profile(
 settings.load_profile("dimpoly")
 
 A = parameter_symbol("a")
+
+
+@contextmanager
+def counting_copies(monkeypatch):
+    """Inside the block, append to the yielded list the number of terms each
+    call of ``Element.__init__``, ``__add__`` or ``__sub__`` copies.  Adding
+    n terms to a growing element one by one copies about n^2/2 terms; a
+    count, unlike a wall-clock ratio, does not follow the host's load."""
+    copied = []
+    sizes = {
+        "__init__": lambda self, terms=None: len(terms or ()),
+        "__add__": lambda self, other: len(self.terms) + len(other.terms),
+        "__sub__": lambda self, other: len(self.terms) + len(other.terms),
+    }
+    with monkeypatch.context() as patch:
+        for name, size in sizes.items():
+
+            def counted(self, *args, method=getattr(Element, name), size=size):
+                copied.append(size(self, *args))
+                return method(self, *args)
+
+            patch.setattr(Element, name, counted)
+        yield copied
 
 
 def el(*terms):

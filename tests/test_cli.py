@@ -138,6 +138,21 @@ class TestErrors:
         code, _, err = run(capsys, "compute", "--builtin", "diffusion", "--rule", "xcentral2")
         assert code == 1
 
+    def test_repeated_rule_operator(self, capsys, tmp_path):
+        # the first rule used to vanish from the scheme and its label
+        path = tmp_path / "heat.sys"
+        path.write_text(DIFFUSION_SRC)
+        code, out, err = run(capsys, "compute", str(path), "--rule", "x=forward", "--rule", "x=central")
+        assert code == 1
+        assert not out and err == "error: rule given more than once for operator 'x'\n"
+
+    @pytest.mark.parametrize("order", [",", ""])
+    def test_order_naming_no_operator(self, capsys, order):
+        # an order that names nothing is refused, not read as the default
+        code, out, err = run(capsys, "compute", "--builtin", "diffusion", "--order", order)
+        assert code == 1
+        assert not out and err == "error: order must list every operator exactly once\n"
+
     def test_scheme_and_rule_conflict(self, capsys):
         code, _, err = run(
             capsys, "compute", "--builtin", "diffusion", "--scheme", "forward", "--rule", "x=central"

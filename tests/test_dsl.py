@@ -19,7 +19,7 @@ from dimpoly import (
 import dimpoly.builtin_systems
 from dimpoly.builtin_systems import BUILTIN_NAMES, builtin_scheme
 
-from conftest import A, el0
+from conftest import A, counting_copies, el0
 
 DIFFUSION_SRC = """\
 kind differential
@@ -132,31 +132,11 @@ class TestParse:
 
     def test_long_relation_parses_in_linear_time(self, monkeypatch):
         # a sum collects its terms in one dict, so parsing copies each term a
-        # bounded number of times; adding the terms to the sum one by one
-        # would copy the growing sum each time, about n^2/2 terms.  Counted,
-        # not timed: a wall-clock ratio follows the host's load.
-        copied = []
-
-        def counting(method, size):
-            def wrapper(self, *args, **kwargs):
-                copied.append(size(self, *args, **kwargs))
-                return method(self, *args, **kwargs)
-
-            return wrapper
-
-        def unary(self, terms=None):
-            return len(terms or ())
-
-        def binary(self, other):
-            return len(self.terms) + len(other.terms)
-
+        # bounded number of times, not once per later term
         n = 8000
         terms = " + ".join(f"x^{k}*u" for k in range(1, n + 1))
         src = f"kind differential\noperators x\nunknowns u\nrelation {terms}\n"
-        with monkeypatch.context() as patch:
-            patch.setattr(Element, "__init__", counting(Element.__init__, unary))
-            patch.setattr(Element, "__add__", counting(Element.__add__, binary))
-            patch.setattr(Element, "__sub__", counting(Element.__sub__, binary))
+        with counting_copies(monkeypatch) as copied:
             rel = parse_system(src).presentation.relations[0]
         assert rel == Element({Term(0, (k,)): Fraction(1) for k in range(1, n + 1)})
         assert n <= sum(copied) <= 3 * n

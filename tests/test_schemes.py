@@ -16,7 +16,7 @@ from dimpoly import (
     rule_spec,
 )
 
-from conftest import A, el0
+from conftest import A, counting_copies, el0
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -162,6 +162,23 @@ class TestSpecs:
             rule_spec({"q": "forward"}, ("x",))
         with pytest.raises(ValueError):
             rule_spec({"x": "upwind"}, ("x",))
+
+    def test_long_relation_discretizes_in_linear_time(self, monkeypatch):
+        # a relation is collected in one term dict, so discretizing copies
+        # each term a bounded number of times, not once per later term
+        n = 8000
+        p = Presentation(
+            kind="differential",
+            operators=("x", "y"),
+            unknowns=tuple(f"u{k}" for k in range(n)),
+            relations=(Element({Term(k, (1, 1)): Fraction(1) for k in range(n)}),),
+        )
+        with counting_copies(monkeypatch) as copied:
+            (image,) = discretize(p, rule_spec({}, p.operators)).relations
+        # forward in x and y: (x - 1)(y - 1) u_k
+        signs = {(1, 1): 1, (1, 0): -1, (0, 1): -1, (0, 0): 1}
+        assert image == Element({Term(k, e): Fraction(c) for k in range(n) for e, c in signs.items()})
+        assert n <= sum(copied) <= 3 * len(image.terms)
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
