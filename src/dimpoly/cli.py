@@ -70,6 +70,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # its args[0] is only the codec name
+        raise ValueError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _load_system(args):
     if args.builtin and args.file:
         raise ValueError("give either a file or --builtin, not both")
@@ -77,7 +84,7 @@ def _load_system(args):
         return args.builtin, builtin_system(args.builtin)
     if not args.file:
         raise ValueError("no input: give a file or --builtin")
-    return Path(args.file).stem, parse_system(Path(args.file).read_text()).presentation
+    return Path(args.file).stem, parse_system(_read(args.file)).presentation
 
 
 def _resolve_scheme(args, presentation):
@@ -129,9 +136,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    left = report_from_json(Path(args.left).read_text())
-    right = report_from_json(Path(args.right).read_text())
-    print(compare_reports(left, right))
+    print(compare_reports(report_from_json(_read(args.left)), report_from_json(_read(args.right))))
     return 0
 
 
@@ -155,17 +160,12 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    commands = {"compute": _cmd_compute, "compare": _cmd_compare, "oracle-check": _cmd_oracle_check}
     try:
-        if args.command == "compute":
-            return _cmd_compute(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "oracle-check":
-            return _cmd_oracle_check(args)
         if args.command == "list-builtins":
-            for name in BUILTIN_NAMES:
-                print(name)
+            print("\n".join(BUILTIN_NAMES))
             return 0
+        return commands[args.command](args)
     except OracleBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -176,7 +176,6 @@ def main(argv=None) -> int:
         message = exc.args[0] if exc.args and not isinstance(exc, OSError) else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

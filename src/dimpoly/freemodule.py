@@ -9,7 +9,8 @@ presentations of kind ``inversive``, where they live in Z^m.
 
 All values here are immutable; orders are pure comparison keys.  Terms are
 merged in one loop, :func:`_accumulate`: element arithmetic, discretized
-relations, parsed sums and Groebner cofactors all add through it in place.
+relations and parsed sums add through it in place.  Groebner completion and
+its cofactors merge packed rows instead (:mod:`dimpoly.groebner`).
 """
 
 from __future__ import annotations

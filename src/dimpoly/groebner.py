@@ -40,21 +40,27 @@ cancelled term's entry is skipped when popped (lazy deletion).  In head mode
 (:func:`reduce_element`, the completion loop, the Groebner test) it stops at
 the first irreducible leading term.  In full mode (:func:`normal_form`,
 :func:`autoreduce`) it sets that term aside and keeps reducing the tail.
-When given a cofactor vector it updates it with every step, so each
+Every packed sum, the S-polynomial and each step's remainder and cofactor,
+goes through one merge loop, :func:`_subtract`.  A monic entry makes an
+S-polynomial a plain difference of shifts and a reduction factor the
+coefficient being cancelled, so a leading coefficient is divided out once
+per entry instead of in every pair and step.  S-polynomials and reductions
+do not change when an element is multiplied by a nonzero constant, so this
+leaves every result as it is.
+
+Given a cofactor vector, the reducer updates it with every step, so each
 completed element can be expressed over the input list.  A cofactor vector
-is itself an :class:`Element`, of the free module whose generator i stands
-for the i-th input (zero inputs keep their position), and it takes the same
-monomial shifts, scalings and differences as the element it tracks;
-``combine(cof, inputs)`` from :mod:`dimpoly.freemodule` expands it back to
-that element.  Cofactor orders are not bounded by the element's, so
-cofactors stay unpacked.  During one reduction the cofactor is one term
-dict, updated in place by :func:`~dimpoly.freemodule._accumulate` at every
-step and wrapped as an :class:`Element` once at the end.  A monic entry
-makes an S-polynomial a plain difference of shifts and a reduction factor
-the coefficient being cancelled, so a leading coefficient is divided out
-once per entry instead of in every pair and step.  S-polynomials and
-reductions do not change when an element is multiplied by a nonzero
-constant, so this leaves every result as it is.
+is an element of the free module whose generator i stands for the i-th
+input (zero inputs keep their position); ``combine(cof, inputs)`` from
+:mod:`dimpoly.freemodule` expands it back to the element it tracks.  Inside
+completion it is packed rows with the input index as generator, takes the
+element's packed shifts, scalings and differences, and is unpacked once, as
+the autoreduced basis leaves.  Its orders are not bounded by the element's,
+but each cofactor term a reduction forms is an entry's term plus one shift
+(``lcm - lt`` or ``t - lt(g)``) whose fields are below 2**(FIELD_BITS - 1),
+so while entries have clear guard bits no field carries into the next;
+:func:`_reduce` raises ValueError on a cofactor with a guard bit set before
+it becomes an entry or leaves the module.
 
 :func:`autoreduce` also makes every element monic and sorts the basis into a
 deterministic canonical form.
@@ -82,7 +88,7 @@ from operator import lshift
 from typing import Callable, Iterable, Sequence
 
 from .coefficients import Coeff, _small, inverse
-from .freemodule import Element, Term, TermOrder, _accumulate, _raw
+from .freemodule import Element, Term, TermOrder
 
 __all__ = [
     "CompletionBudgetExceeded",
@@ -120,10 +126,8 @@ def s_polynomial(g1: Element, g2: Element, order: TermOrder) -> Element:
 
 
 def reduce_element(f: Element, basis: Sequence[Element], order: TermOrder) -> Element:
-    """Rewrite the leading term of f modulo ``basis`` until irreducible.
-
-    Divisors are tried in list order (first match).
-    """
+    """Rewrite the leading term of f modulo ``basis`` until irreducible, the
+    first divisor in list order first."""
     return _reduce(f, None, _divisors(_track(basis, order)), order, full=False)[0]
 
 
@@ -192,11 +196,9 @@ class _Layout:
             )
         return (total << FIELD_BITS | t.gen) << self.gen_shift | sum(map(lshift, exps, self.shifts))
 
-    def exps(self, packed: int) -> tuple[int, ...]:
-        return tuple((packed >> shift) & _MASK for shift in self.shifts)
-
     def unpack(self, packed: int) -> Term:
-        return Term((packed >> self.gen_shift) & _MASK, self.exps(packed))
+        exps = tuple((packed >> shift) & _MASK for shift in self.shifts)
+        return Term((packed >> self.gen_shift) & _MASK, exps)
 
     def divides(self, s: int, t: int) -> bool:
         """True iff packed s divides packed t: the same generator, and the
@@ -220,12 +222,12 @@ def _layout(sequence: tuple[int, ...]) -> _Layout:
 class _Tracked:
     """One basis element inside the completion, made monic: its leading term
     as ``lt`` and packed as ``head``, the packed rows of its other terms as
-    ``tail``, and its cofactor vector, scaled alike."""
+    ``tail``, and the packed rows of its cofactor vector, scaled alike."""
 
     __slots__ = ("layout", "lt", "head", "tail", "cof")
 
     def __init__(self, elem: Element | dict[int, Coeff], order: TermOrder, cof=None):
-        """``elem`` is an Element or packed rows (see :func:`_reduce`)."""
+        """``elem`` is an Element or packed rows (see :func:`_reduce`), ``cof`` rows or None."""
         self.layout = _layout(order.sequence)
         rows = elem if isinstance(elem, dict) else self.layout.rows(elem)
         self.head = max(rows)
@@ -234,7 +236,7 @@ class _Tracked:
         if lc != 1:
             inv = inverse(lc)
             rows = {t: c * inv for t, c in rows.items()}
-            cof = cof and cof.scaled(inv)
+            cof = cof and {t: _small(c * inv) for t, c in cof.items()}
         self.tail = tuple((t, _small(c)) for t, c in rows.items() if t != self.head)
         self.cof = cof
 
@@ -269,25 +271,37 @@ def _lcm(a: _Tracked, b: _Tracked) -> int:
     return a.layout.pack(Term(a.lt.gen, tuple(map(max, a.lt.exps, b.lt.exps))))
 
 
+def _subtract(rows: dict, terms: Iterable, c: Coeff | None, shift: int, heap=None) -> dict:
+    """``rows -= c * x^shift * terms`` in place, and return ``rows``: the one
+    merge loop for packed sums.  ``terms`` are (packed term, coefficient)
+    pairs and ``shift`` is a packed shift; ``c`` None subtracts the terms as
+    they are, with no product by 1.  A term that cancels is deleted; each
+    new term is pushed negated on ``heap`` when one is given."""
+    for t, d in terms:
+        t += shift
+        if c is not None:
+            d = c * d
+        x = rows.get(t)
+        if x is None:
+            rows[t] = -d
+            if heap is not None:
+                heapq.heappush(heap, -t)
+        elif x := x - d:
+            rows[t] = x
+        else:
+            del rows[t]
+    return rows
+
+
 def _s_poly(a: _Tracked, b: _Tracked, lcm: int):
     """Packed S-polynomial of two entries on one generator, given the packed
-    lcm of their leading terms, and, when tracked, its cofactor vector.  The
+    lcm of their leading terms, and, when tracked, its packed cofactor.  The
     leading terms cancel and are never formed."""
     u1, u2 = lcm - a.head, lcm - b.head
-    s = {t + u1: c for t, c in a.tail}
-    for t, c in b.tail:
-        t += u2
-        x = s.get(t)
-        if x is None:
-            s[t] = -c
-        elif x := x - c:
-            s[t] = x
-        else:
-            del s[t]
+    s = _subtract({t + u1: c for t, c in a.tail}, b.tail, None, u2)
     if a.cof is None:
         return s, None
-    exps = a.layout.exps
-    return s, _raw(_accumulate(_accumulate({}, a.cof, shift=exps(u1)), b.cof, -1, exps(u2)))
+    return s, _subtract({t + u1: c for t, c in a.cof.items()}, b.cof.items(), None, u2)
 
 
 def _reduce(f, cof, divisors: _Divisors, order: TermOrder, full: bool, chain=None):
@@ -297,29 +311,26 @@ def _reduce(f, cof, divisors: _Divisors, order: TermOrder, full: bool, chain=Non
     The first entry in list order whose leading term divides the current
     leading term is used.  Head mode stops at the first irreducible leading
     term; full mode moves it to the remainder and continues with the tail.
-    ``cof`` (when not None) is updated alongside, as one term dict changed
-    in place, and ``chain`` (when given) receives the index of each divisor
-    used.  Returns (remainder, cof, steps).  f is an :class:`Element` or
-    packed rows (a dict from packed term to coefficient, left unchanged);
-    the remainder comes back in the same form.
+    f is an :class:`Element` or packed rows (a dict from packed term to
+    coefficient), and the remainder comes back in the same form; ``cof`` is
+    packed rows or None, updated alongside.  Neither input is changed.
+    ``chain`` (when given) receives the index of each divisor used.  Returns
+    (remainder, cof, steps); a cofactor with a guard bit set raises
+    ValueError instead (see the module docstring).
 
-    The remainder is one mutable packed term -> coefficient dict, changed in
-    place.  Its terms sit in a heap of negated packed terms, so the heap top
-    is the leading term.  A term that cancels is deleted from the dict and
-    its heap entry is skipped when popped (lazy deletion); a term that comes
-    back is pushed again.  Only the entries on the leading term's generator
-    are tested as divisors.  A step deletes the leading term and subtracts
-    c * x^lam * (tail of g) term by term, where c is the coefficient being
-    cancelled (g is monic) and lam is the packed shift: O(|g| log |r|)
-    instead of rescanning and copying the whole remainder.
+    The remainder and its heap are as in the module docstring; a term that
+    comes back after cancelling is pushed again.  A step deletes the leading
+    term and subtracts c * x^lam * (tail of g) by :func:`_subtract`, where c
+    is the coefficient being cancelled (g is monic) and lam is the packed
+    shift: O(|g| log |r|) instead of rescanning the whole remainder.
     """
     layout = _layout(order.sequence)
     packed = isinstance(f, dict)
     rem = dict(f) if packed else layout.rows(f)
-    cof = None if cof is None else dict(cof.terms)
+    cof = None if cof is None else dict(cof)
     heap = [-t for t in rem]
     heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
+    pop = heapq.heappop
     guards, gen_shift = layout.guards, layout.gen_shift
     done: dict[int, Coeff] = {}
     steps = 0
@@ -339,23 +350,17 @@ def _reduce(f, cof, divisors: _Divisors, order: TermOrder, full: bool, chain=Non
             continue
         lam = t - h
         del rem[t]
-        for s, d in g.tail:
-            s += lam
-            x = rem.get(s)
-            if x is None:
-                rem[s] = -(c * d)
-                push(heap, -s)
-            elif x := x - c * d:
-                rem[s] = x
-            else:
-                del rem[s]
+        _subtract(rem, g.tail, c, lam, heap)
         if cof is not None:
-            _accumulate(cof, g.cof, -c, layout.exps(lam))
+            _subtract(cof, g.cof.items(), c, lam)
         if chain is not None:
             chain.append(i)
         steps += 1
+    if cof and max(cof) & guards:  # a field at its guard puts the total, the top one, there
+        t = layout.unpack(max(cof))
+        raise ValueError(f"cofactor term {t}: total order reached 2**{FIELD_BITS - 1}")
     rem = done if full else rem
-    return (rem if packed else layout.element(rem)), cof if cof is None else _raw(cof), steps
+    return (rem if packed else layout.element(rem)), cof, steps
 
 
 def buchberger(
@@ -377,13 +382,13 @@ def buchberger(
     reduced to 0).  The call comes before the remainder is added.
     """
     generators = list(generators)
+    layout = _layout(order.sequence)
     zero = (0,) * len(order.sequence)
     basis = [
-        _Tracked(g, order, Element({Term(i, zero): 1}) if track_cofactors else None)
+        _Tracked(g, order, {layout.pack(Term(i, zero)): 1} if track_cofactors else None)
         for i, g in enumerate(generators)
         if g
     ]
-    layout = _layout(order.sequence)
     divisors = _divisors(basis)
 
     # (lcm total order, insertion index, i, j, packed lcm)
@@ -443,13 +448,7 @@ def buchberger(
     )
 
 
-def _chain_redundant(
-    divisors: list[tuple[int, int, _Tracked]],
-    handled: set[tuple[int, int]],
-    i: int,
-    j: int,
-    lcm: int,
-) -> bool:
+def _chain_redundant(divisors: list, handled: set[tuple[int, int]], i: int, j: int, lcm: int) -> bool:
     """Chain criterion for pair (i, j), i < j, with packed lcm(lt_i, lt_j)
     and the divisor list of their generator: some k other than i and j has
     lt_k dividing it, and (i, k) and (k, j) are handled."""
@@ -468,7 +467,7 @@ def _chain_redundant(
 
 
 def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder):
-    """Minimal, tail-reduced and sorted form of the monic ``basis``."""
+    """Minimal, tail-reduced and sorted form of the monic ``basis``, and its cofactors."""
     # Minimality: drop elements whose leading term is divisible by another's.
     # Ascending scan guarantees divisors are kept before their multiples.
     layout = _layout(order.sequence)
@@ -485,6 +484,7 @@ def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder):
     reduced: list[tuple[Element, Element | None, _Tracked]] = []
     for g in kept:
         rows, cof, _ = _reduce(dict(g.tail), g.cof, divisors, order, full=True)
+        cof = cof if cof is None else layout.element(cof)
         reduced.append((layout.element({g.head: 1, **rows}), cof, g))
 
     reduced.sort(key=lambda item: (item[2].lt.gen, item[2].head))

@@ -128,6 +128,14 @@ class TestErrors:
         code, _, err = run(capsys, "compute")
         assert code == 1
 
+    @pytest.mark.parametrize("command", [["compute"], ["oracle-check", "--r", "2"]])
+    def test_file_not_utf8_exits_1(self, capsys, tmp_path, command):
+        path = tmp_path / "e.sys"
+        path.write_bytes(DIFFUSION_SRC.encode() + b"# caf\xe9\n")
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path} is not UTF-8 text (")
+
     def test_both_inputs(self, capsys, tmp_path):
         path = tmp_path / "x.sys"
         path.write_text(DIFFUSION_SRC)
@@ -227,6 +235,17 @@ class TestCompare:
         code, out, _ = run(capsys, "compare", str(tmp_path / "forward.json"), str(tmp_path / "symmetric.json"))
         assert code == 0
         assert out.strip() == "symmetric is stronger"
+
+    def test_report_not_utf8_exits_1(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "compute", "--builtin", "diffusion", "--json")
+        good = tmp_path / "good.json"
+        good.write_text(out)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe" + out.encode("utf-16-le"))  # a UTF-16 report
+        for pair in ((good, bad), (bad, good)):
+            code, out, err = run(capsys, "compare", *map(str, pair))
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {bad} is not UTF-8 text (")
 
     @pytest.mark.parametrize(
         "tamper, message",

@@ -213,6 +213,22 @@ class TestBuchberger:
             assert combine(cof, inputs) == g
             assert {t.gen for t in cof.terms} <= {1, 3, 4}
 
+    @pytest.mark.parametrize("scheme", [None, "forward", "symmetric"])
+    @pytest.mark.parametrize("name", ["diffusion", "maxwell", "potential"])
+    def test_builtin_cofactors_expand_to_the_untracked_basis(self, name, scheme):
+        doc = compute_strength(
+            builtin_system(name),
+            system_name=name,
+            scheme=builtin_scheme(name, scheme) if scheme else None,
+            scheme_name=scheme,
+        )
+        inputs = list(doc.working.relations)
+        gb = buchberger(inputs, doc.basis.order, track_cofactors=True)
+        assert gb.elements == doc.basis.elements
+        assert len(gb.cofactors) == len(gb.elements)
+        for g, cof in zip(gb.elements, gb.cofactors):
+            assert combine(cof, inputs) == g
+
     def test_trace_emitted(self):
         records = []
         buchberger(FORWARD_INPUTS, SIGMA_ORDER, trace=lambda *pair: records.append(pair))
@@ -599,13 +615,16 @@ def test_reduce_matches_the_rescanning_loop(inputs, full, tracked):
     over the original elements, which divides by their leading coefficients
     at every step."""
     f, basis, order = inputs
+    layout = _layout(order.sequence)
     zero = (0,) * len(order.sequence)
     cofs = [Element({Term(k, zero): 1}) for k in range(len(basis) + 1)] if tracked else None
-    entries = [_Tracked(g, order, cofs and cofs[k]) for k, g in enumerate(basis)]
+    # cofactors enter the reducer as packed rows and are unpacked to compare
+    entries = [_Tracked(g, order, cofs and layout.rows(cofs[k])) for k, g in enumerate(basis)]
     assert all(g.elem.leading_term(order)[1] == 1 for g in entries)
     cof = cofs and cofs[-1]
     chain, want_chain = [], []
-    got = _reduce(f, cof, _divisors(entries), order, full, chain)
+    r, rows, steps = _reduce(f, cof and layout.rows(cof), _divisors(entries), order, full, chain)
+    got = r, (None if rows is None else layout.element(rows)), steps
     assert got == _reference_reduce(f, cof, _originals(basis, order, cofs), order, full, want_chain)
     assert chain == want_chain
 
@@ -648,9 +667,10 @@ class TestMonicEntries:
     def test_entry_is_monic_with_its_cofactor_scaled_alike(self):
         g = el0((A + 1, (1, 0)), (2 * A, (0, 1)), (-1, (0, 0)))
         cof = el0((1, (0, 0)))
-        entry = _Tracked(g, DIFF_ORDER, cof)
+        layout = _layout(DIFF_ORDER.sequence)
+        entry = _Tracked(g, DIFF_ORDER, layout.rows(cof))
         assert entry.elem == g.scaled(1 / (A + 1))
-        assert entry.cof == cof.scaled(1 / (A + 1))
+        assert layout.element(entry.cof) == cof.scaled(1 / (A + 1))
         assert entry.lt == Term(0, (1, 0))
         monic = _Tracked(entry.elem, DIFF_ORDER, entry.cof)
         assert monic.tail == entry.tail and monic.cof is entry.cof
@@ -762,6 +782,24 @@ def test_completion_refuses_an_lcm_beyond_the_field_width():
         s_polynomial(*inputs, DIFF_ORDER)
 
 
+def test_cofactor_beyond_the_field_width_is_refused():
+    # the entry's cofactor has a term of total 2^31 - 1; the first step of
+    # reducing x^2 by x - 1 shifts it by x, to total 2^31
+    top = (1 << (FIELD_BITS - 1)) - 1
+    layout = _layout(DIFF_ORDER.sequence)
+    f, start = el0((1, (2, 0))), {layout.pack(Term(1, (0, 0))): 1}
+    for edge, fits in ((top - 1, True), (top, False)):
+        cof = {layout.pack(Term(0, (edge, 0))): 1}
+        divisors = _divisors([_Tracked(el0((1, (1, 0)), (-1, (0, 0))), DIFF_ORDER, cof)])
+        if fits:
+            _, rows, steps = _reduce(f, start, divisors, DIFF_ORDER, full=False)
+            assert steps == 2 and layout.unpack(max(rows)) == Term(0, (top, 0))
+        else:
+            wide = re.escape(str(Term(0, (top + 1, 0))))
+            with pytest.raises(ValueError, match=f"cofactor term {wide}: total order reached 2\\*\\*31"):
+                _reduce(f, start, divisors, DIFF_ORDER, full=False)
+
+
 # -- no int coefficient leaves the reducer --------------------------------------
 
 
@@ -789,9 +827,12 @@ def test_every_coefficient_leaves_as_fraction_or_rational_function(inputs, order
     out = [*gb.elements, *gb.cofactors, *traced, normal_form(f, inputs, order), reduce_element(f, inputs, order)]
     out += [s_polynomial(g, h, order) for g in inputs for h in inputs]
     zero = (0,) * len(order.sequence)
+    layout = _layout(order.sequence)
     for full in (False, True):
-        entries = [_Tracked(g, order, u) for g, u in zip(gb.elements, gb.cofactors)]
-        r, cof, _ = _reduce(f, Element({Term(len(inputs), zero): 1}), _divisors(entries), order, full)
-        out += [r, cof]
+        # cofactors are packed rows inside the reducer
+        entries = [_Tracked(g, order, layout.rows(u)) for g, u in zip(gb.elements, gb.cofactors)]
+        start = layout.rows(Element({Term(len(inputs), zero): 1}))
+        r, cof, _ = _reduce(f, start, _divisors(entries), order, full)
+        out += [r, layout.element(cof)]
     assert any(g.terms for g in out)
     assert _coefficient_types(out) <= {Fraction, RationalFunction}
