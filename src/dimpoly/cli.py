@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 input or usage error, 2 mathematical validation
-mismatch (the computed polynomial disagreed with the counting oracle), 3 the
-counting oracle would exceed its size limit (MAX_ORACLE_CELLS counts),
-4 Groebner completion would form more than MAX_PAIRS_FORMED critical pairs.
+Exit codes: 0 success, 1 input or usage error (a parser limit, or a relation
+that would discretize to more than MAX_DISCRETIZED_TERMS terms), 2
+mathematical validation mismatch (the computed polynomial disagreed with the
+counting oracle), 3 the counting oracle would exceed its size limit
+(MAX_ORACLE_CELLS counts), 4 Groebner completion would form more than
+MAX_PAIRS_FORMED critical pairs.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ which makes the polynomial the exact interpolant of those counts.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -206,6 +207,9 @@ def dimension_polynomial(stair: Staircase, *, kind: str = "difference") -> "DimP
     the threshold is sharp: when it is positive, the polynomial is off by
     (-1)^n k_deg(K) at the order just below it.
 
+    Each distinct antichain's numerator is computed once and added times
+    the number of generators that have it.
+
     The module dimension is read at degree m, the number of operators of
     the presentation: c_m / 2^m for an inversive staircase (which lives in
     the doubled ring of n = 2m operators) and c_n otherwise.
@@ -219,8 +223,8 @@ def dimension_polynomial(stair: Staircase, *, kind: str = "difference") -> "DimP
         m = n
 
     numerator: tuple[int, ...] = ()
-    for vectors in stair.per_generator:
-        numerator = _add(numerator, _hilbert_numerator(vectors))
+    for vectors, times in Counter(stair.per_generator).items():
+        numerator = _add(numerator, tuple(times * k for k in _hilbert_numerator(vectors)))
     coeffs = [
         (-1) ** (n - d) * sum(k * math.comb(j, n - d) for j, k in enumerate(numerator))
         for d in range(n + 1)

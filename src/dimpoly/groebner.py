@@ -15,13 +15,18 @@ addition, and the shift that carries lt(g) to t is ``t - lt(g)`` itself.
 With G the mask of all guard bits, ``((t | G) - lt(g)) & G == G`` is true
 iff no field of lt(g) exceeds the same field of t: each field then
 subtracts without borrowing from the next one, and its guard survives.
-On one generator that is "lt(g) divides t".  Packing refuses a negative
-exponent, a generator index or a total order at or above
-2**(FIELD_BITS - 1) with a ValueError that names the term.  Packed inputs
-and S-polynomial lcms are checked this way.  Reduction never raises a total
-above its leading term's, so no later sum can carry into a guard bit.
-Elements leave this module unpacked, as :class:`Element` with ``Fraction``
-or :class:`RationalFunction` coefficients.  Inside, an integral
+On one generator that is "lt(g) divides t".  Completion reads everything
+it keeps about a leading term off the packed int: an entry's generator is
+its field, and an S-polynomial's lcm is taken on the packed heads, the
+larger of each exponent field selected by the same guard-bit test and the
+total summed from the chosen fields by one multiplication
+(:meth:`_Layout.lcm`).  Packing refuses a negative exponent, a generator
+index or a total order at or above 2**(FIELD_BITS - 1) with a ValueError
+that names the term.  Packed inputs and S-polynomial lcms are checked this
+way.  Reduction never raises a total above its leading term's, so no later
+sum can carry into a guard bit.  Elements leave this module unpacked, each
+term once, as :class:`Element` with ``Fraction`` or
+:class:`RationalFunction` coefficients.  Inside, an integral
 ``Fraction`` is held as the ``int`` it equals, because int arithmetic is
 several times cheaper; the one helper for that rule, ``_small``, lives in
 :mod:`dimpoly.coefficients`, whose polynomial kernel follows it too.
@@ -82,13 +87,14 @@ raised.
 from __future__ import annotations
 
 import heapq
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import lshift
+from operator import attrgetter, itemgetter, lshift
 from typing import Callable, Iterable, Sequence
 
-from .coefficients import Coeff, _small, inverse
-from .freemodule import Element, Term, TermOrder
+from .coefficients import Coeff, _small, as_coeff, inverse
+from .freemodule import Element, Term, TermOrder, _raw
 
 __all__ = [
     "CompletionBudgetExceeded",
@@ -111,6 +117,7 @@ MAX_PAIRS_FORMED = 100_000
 FIELD_BITS = 32
 _LIMIT = 1 << (FIELD_BITS - 1)
 _MASK = (1 << FIELD_BITS) - 1
+_FORMAT = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct code of one field
 
 
 class CompletionBudgetExceeded(ValueError):
@@ -120,9 +127,9 @@ class CompletionBudgetExceeded(ValueError):
 def s_polynomial(g1: Element, g2: Element, order: TermOrder) -> Element:
     """S-polynomial of g1 and g2; zero when the leading generators differ."""
     a, b = _Tracked(g1, order), _Tracked(g2, order)
-    if a.lt.gen != b.lt.gen:
+    if a.gen != b.gen:
         return Element()
-    return a.layout.element(_s_poly(a, b, _lcm(a, b))[0])
+    return a.layout.element(_s_poly(a, b, a.layout.lcm(a.head, b.head))[0])
 
 
 def reduce_element(f: Element, basis: Sequence[Element], order: TermOrder) -> Element:
@@ -173,7 +180,7 @@ class _Layout:
     """Packing of the terms of one ``order.sequence`` (see the module
     docstring): ``shifts[i]`` is the bit offset of operator i's field."""
 
-    __slots__ = ("shifts", "gen_shift", "guards")
+    __slots__ = ("shifts", "gen_shift", "guards", "exp_mask", "exp_guards", "ones", "fields", "exps")
 
     def __init__(self, sequence: tuple[int, ...]):
         n = len(sequence)
@@ -183,6 +190,14 @@ class _Layout:
         self.shifts = tuple(shifts)
         self.gen_shift = FIELD_BITS * n
         self.guards = sum(_LIMIT << (FIELD_BITS * k) for k in range(n + 2))
+        self.exp_mask = (1 << self.gen_shift) - 1
+        self.exp_guards = self.guards & self.exp_mask
+        # one 1 in each of fields 1..n: a product's field n sums fields 0..n-1
+        self.ones = sum(1 << (FIELD_BITS * k) for k in range(1, n + 1))
+        # big-endian fields from the top: total, gen, then ``sequence`` order
+        self.fields = struct.Struct(f">{n + 2}{_FORMAT[FIELD_BITS]}").unpack
+        at = [2 + sequence.index(i) for i in range(n)]
+        self.exps = itemgetter(*at) if n > 1 else itemgetter(slice(2, None))
 
     def pack(self, t: Term) -> int:
         exps = t.exps
@@ -197,21 +212,34 @@ class _Layout:
         return (total << FIELD_BITS | t.gen) << self.gen_shift | sum(map(lshift, exps, self.shifts))
 
     def unpack(self, packed: int) -> Term:
-        exps = tuple((packed >> shift) & _MASK for shift in self.shifts)
-        return Term((packed >> self.gen_shift) & _MASK, exps)
+        fields = self.fields(packed.to_bytes(FIELD_BITS // 8 * (len(self.shifts) + 2), "big"))
+        return Term(fields[1], self.exps(fields))
 
-    def divides(self, s: int, t: int) -> bool:
-        """True iff packed s divides packed t: the same generator, and the
-        guard-bit test on every field."""
-        g = self.guards
-        return not ((s ^ t) >> self.gen_shift) & _MASK and ((t | g) - s) & g == g
+    def lcm(self, s: int, t: int) -> int:
+        """Packed lcm of packed s and t, on s's generator.  The guard of each
+        exponent field of ``(s | G) - t`` survives iff s's field is the larger
+        (module docstring), and one product by ``ones`` sums the fields into
+        the total.  Each input's total is below 2**(FIELD_BITS - 1), so every
+        partial sum fits its field and none carries.  A total at or above
+        2**(FIELD_BITS - 1) raises pack's ValueError, naming the lcm."""
+        m, g = self.exp_mask, self.exp_guards
+        s_e, t_e = s & m, t & m
+        larger = ((s_e | g) - t_e) & g
+        larger -= larger >> (FIELD_BITS - 1)  # each selected field's value bits
+        e = t_e ^ ((s_e ^ t_e) & larger)
+        total = (e * self.ones >> self.gen_shift) & _MASK
+        gen = s & (_MASK << self.gen_shift)
+        if total >= _LIMIT:
+            self.pack(self.unpack(gen | e))  # raises: the total does not fit
+        return total << (self.gen_shift + FIELD_BITS) | gen | e
 
     def rows(self, f: Element) -> dict[int, Coeff]:
         """The terms of f packed, an integral Fraction as its int."""
         return {self.pack(t): _small(c) for t, c in f.terms.items()}
 
     def element(self, rows: dict[int, Coeff]) -> Element:
-        return Element({self.unpack(t): c for t, c in rows.items()})
+        """Rows, which never hold a zero, unpacked: each term once."""
+        return _raw({self.unpack(t): as_coeff(c) for t, c in rows.items()})
 
 
 @lru_cache(maxsize=64)
@@ -221,23 +249,27 @@ def _layout(sequence: tuple[int, ...]) -> _Layout:
 
 class _Tracked:
     """One basis element inside the completion, made monic: its leading term
-    as ``lt`` and packed as ``head``, the packed rows of its other terms as
-    ``tail``, and the packed rows of its cofactor vector, scaled alike."""
+    packed as ``head`` and that term's generator as ``gen``, the packed rows
+    of its other terms as ``tail``, and the packed rows of its cofactor
+    vector, scaled alike."""
 
-    __slots__ = ("layout", "lt", "head", "tail", "cof")
+    __slots__ = ("layout", "gen", "head", "tail", "cof")
 
     def __init__(self, elem: Element | dict[int, Coeff], order: TermOrder, cof=None):
         """``elem`` is an Element or packed rows (see :func:`_reduce`), ``cof`` rows or None."""
-        self.layout = _layout(order.sequence)
-        rows = elem if isinstance(elem, dict) else self.layout.rows(elem)
-        self.head = max(rows)
-        self.lt = self.layout.unpack(self.head)
-        lc = rows[self.head]
-        if lc != 1:
+        self.layout = layout = _layout(order.sequence)
+        rows = elem if isinstance(elem, dict) else layout.rows(elem)
+        self.head = head = max(rows)
+        self.gen = (head >> layout.gen_shift) & _MASK
+        lc = rows[head]
+        if lc == -1:
+            rows = {t: -c for t, c in rows.items()}
+            cof = cof and {t: _small(-c) for t, c in cof.items()}
+        elif lc != 1:
             inv = inverse(lc)
             rows = {t: c * inv for t, c in rows.items()}
             cof = cof and {t: _small(c * inv) for t, c in cof.items()}
-        self.tail = tuple((t, _small(c)) for t, c in rows.items() if t != self.head)
+        self.tail = tuple((t, _small(c)) for t, c in rows.items() if t != head)
         self.cof = cof
 
     @property
@@ -255,7 +287,7 @@ _Divisors = dict[int, list[tuple[int, int, _Tracked]]]
 
 
 def _add_divisor(divisors: _Divisors, i: int, g: _Tracked) -> None:
-    divisors.setdefault(g.lt.gen, []).append((g.head, i, g))
+    divisors.setdefault(g.gen, []).append((g.head, i, g))
 
 
 def _divisors(basis: Sequence[_Tracked]) -> _Divisors:
@@ -264,11 +296,6 @@ def _divisors(basis: Sequence[_Tracked]) -> _Divisors:
     for i, g in enumerate(basis):
         _add_divisor(divisors, i, g)
     return divisors
-
-
-def _lcm(a: _Tracked, b: _Tracked) -> int:
-    """Packed lcm of the leading terms of two entries on one generator."""
-    return a.layout.pack(Term(a.lt.gen, tuple(map(max, a.lt.exps, b.lt.exps))))
 
 
 def _subtract(rows: dict, terms: Iterable, c: Coeff | None, shift: int, heap=None) -> dict:
@@ -398,13 +425,14 @@ def buchberger(
 
     def push_pairs(j: int):
         nonlocal formed
+        gen, head = basis[j].gen, basis[j].head
         for i in range(j):
-            if basis[i].lt.gen == basis[j].lt.gen:
+            if basis[i].gen == gen:
                 if formed == MAX_PAIRS_FORMED:
                     raise CompletionBudgetExceeded(
                         f"completion would form more than {MAX_PAIRS_FORMED} pairs"
                     )
-                lcm = _lcm(basis[i], basis[j])
+                lcm = layout.lcm(basis[i].head, head)
                 heapq.heappush(heap, (lcm >> total_shift, formed, i, j, lcm))
                 formed += 1
 
@@ -417,7 +445,7 @@ def buchberger(
         _, _, i, j, lcm = heapq.heappop(heap)
         pairs_processed += 1
         handled.add((i, j))
-        if trace is None and _chain_redundant(divisors[basis[i].lt.gen], handled, i, j, lcm):
+        if trace is None and _chain_redundant(divisors[basis[i].gen], handled, i, j, lcm):
             pairs_pruned += 1
             continue
         s, cof = _s_poly(basis[i], basis[j], lcm)
@@ -471,9 +499,14 @@ def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder):
     # Minimality: drop elements whose leading term is divisible by another's.
     # Ascending scan guarantees divisors are kept before their multiples.
     layout = _layout(order.sequence)
+    guards = layout.guards
     kept: list[_Tracked] = []
-    for g in sorted(basis, key=lambda w: w.head):
-        if not any(layout.divides(h.head, g.head) for h in kept):
+    heads: dict[int, list[int]] = {}  # generator -> kept heads on it
+    for g in sorted(basis, key=attrgetter("head")):
+        on_gen = heads.setdefault(g.gen, [])
+        t = g.head | guards
+        if not any((t - h) & guards == guards for h in on_gen):
+            on_gen.append(g.head)
             kept.append(g)
 
     # Tail reduction: the head is irreducible modulo the others, so only the
@@ -487,7 +520,7 @@ def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder):
         cof = cof if cof is None else layout.element(cof)
         reduced.append((layout.element({g.head: 1, **rows}), cof, g))
 
-    reduced.sort(key=lambda item: (item[2].lt.gen, item[2].head))
+    reduced.sort(key=lambda item: (item[2].gen, item[2].head))
     return [item[0] for item in reduced], [item[1] for item in reduced]
 
 
@@ -502,9 +535,9 @@ def is_groebner_basis(basis: Sequence[Element], order: TermOrder) -> bool:
     divisors = _divisors(tracked)
     for i, a in enumerate(tracked):
         for b in tracked[i + 1 :]:
-            if a.lt.gen != b.lt.gen:
+            if a.gen != b.gen:
                 continue
-            s, _ = _s_poly(a, b, _lcm(a, b))
+            s, _ = _s_poly(a, b, a.layout.lcm(a.head, b.head))
             if s and _reduce(s, None, divisors, order, full=False)[0]:
                 return False
     return True

@@ -55,6 +55,14 @@ class TestCompute:
         assert "[39999, 40004] and interpolation: ok" in out
         assert out.rstrip().endswith("psi(t) = 40000")
 
+    def test_relation_past_the_term_bound_exits_1(self, capsys, tmp_path):
+        # x^2000 discretizes to 2,002 terms; x^2498 to 2,501, past the bound
+        path = tmp_path / "long.sys"
+        path.write_text("kind differential\noperators x t\nunknowns u\nrelation t*u - x^2498*u\n")
+        code, out, err = run(capsys, "compute", str(path), "--scheme", "forward")
+        assert (code, out) == (1, "")
+        assert "2501 terms, more than MAX_DISCRETIZED_TERMS (2500)" in err
+
     def test_runs_without_numpy(self):
         # numpy made unimportable before the package loads
         script = (

@@ -338,6 +338,27 @@ class TestHilbertNumerator:
             assert report.polynomial(r0 - 1) != counts[r0 - 1]
 
 
+    @given(staircases(), st.lists(st.integers(0, 1), min_size=1, max_size=6))
+    def test_repeated_antichains_are_counted_once(self, stair, picks):
+        gens = tuple(stair.per_generator[i % len(stair.per_generator)] for i in picks)
+        repeated = Staircase(gens, stair.n)
+        calls = []
+        real = dimension._hilbert_numerator
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dimension, "_hilbert_numerator", lambda a: calls.append(a) or real(a))
+            report = dimension_polynomial(repeated, kind="difference")
+        # the recursion passes lists; each distinct antichain comes once
+        assert sorted(a for a in calls if type(a) is tuple) == sorted(set(gens))
+        # the reference sums generator by generator
+        numerator, total = (), PolyQ()
+        for antichain in gens:
+            numerator = dimension._add(numerator, real(antichain))
+            alone = dimension_polynomial(Staircase((antichain,), stair.n), kind="difference")
+            total = total + alone.polynomial
+        assert report.polynomial == total
+        assert report.validity_threshold == max(len(numerator) - 1 - stair.n, 0)
+
+
 class TestIntegerRoute:
     """The binomial-basis coefficients read off the Hilbert numerator agree
     with the rational elimination of the standard polynomial."""

@@ -1,6 +1,6 @@
 """Golden reports and completion traces of the nine built-in cases (3 systems
-x {PDE, forward, symmetric}) and of small systems over Q(a), compared byte
-for byte.
+x {PDE, forward, symmetric}) and of small systems in the input language,
+compared byte for byte.
 
 The report files are the output of ``dimpoly compute --builtin S [--scheme P]
 [--json]``.  The text report lists every element of the autoreduced basis, so
@@ -10,13 +10,18 @@ traces are the stderr of ``dimpoly compute --builtin S [--scheme P] --trace``:
 ``diffusion-forward.trace`` holds one in full, so a failure there shows a
 readable diff.
 
-The ``qa-*.sys`` files are systems in the input language whose coefficients
-are drawn from a, -a, 2*a, 1/2*a, a+1 and 1/(a+1), each discretized by the
-per-operator rules on its ``# rules`` line; every basis element of their
-reports has coefficients in Q(a).  Their reports are the output of ``dimpoly
-compute tests/golden/qa-NAME.sys --rule OP=RULE ... [--json]``, and their
-traces are pinned in ``traces.sha256`` like the built-ins'.  After an
-intended change to the output, regenerate the files with those commands.
+The ``*.sys`` files are systems in the input language, each discretized by
+the per-operator rules on its ``# rules`` line.  In the ``qa-*`` ones the
+coefficients are drawn from a, -a, 2*a, 1/2*a, a+1 and 1/(a+1), and every
+basis element of their reports has coefficients in Q(a).  ``q-pairing`` is
+over Q: its pair (2,4) joins the pairing relation a_x*b_x*v - v, whose
+counterpart a_x*b_x*u - u is in the basis, and an element whose leading
+monomial is coprime to a_x*b_x; the pair still adds an element when it is
+reduced, so a criterion that skipped such pairs would move its counts.
+Their reports are the output of ``dimpoly compute tests/golden/NAME.sys
+--rule OP=RULE ... [--json]``, and their traces are pinned in
+``traces.sha256`` like the built-ins'.  After an intended change to the
+output, regenerate the files with those commands.
 """
 
 import hashlib
@@ -90,10 +95,11 @@ def test_trace_matches_golden(system, scheme):
     assert (hashlib.sha256(text.encode()).hexdigest(), len(lines)) == TRACE_TABLE[case]
 
 
-PARAMETRIC = sorted(path.stem for path in GOLDEN.glob("qa-*.sys"))
+SYSTEMS = sorted(path.stem for path in GOLDEN.glob("*.sys"))
+PARAMETRIC = [name for name in SYSTEMS if name.startswith("qa-")]
 
 
-def compute_parametric(name, **options):
+def compute_file(name, **options):
     """What ``dimpoly compute`` does with the file and its ``# rules`` line."""
     text = (GOLDEN / f"{name}.sys").read_text()
     rules = dict(item.split("=") for item in text.splitlines()[1].split()[2:])
@@ -108,27 +114,38 @@ def compute_parametric(name, **options):
 
 
 @pytest.fixture(scope="module")
-def parametric_documents():
-    return {name: compute_parametric(name) for name in PARAMETRIC}
+def system_documents():
+    return {name: compute_file(name) for name in SYSTEMS}
 
 
-def test_parametric_pins_cover_q_a(parametric_documents):
+def test_parametric_pins_cover_q_a(system_documents):
     assert len(PARAMETRIC) == 6
-    for name, doc in parametric_documents.items():
-        assert name in TRACE_TABLE
+    assert set(SYSTEMS) <= set(TRACE_TABLE)
+    for name in PARAMETRIC:
+        doc = system_documents[name]
         coeffs = [c for g in doc.basis for c in g.terms.values()]
         assert any(isinstance(c, RationalFunction) for c in coeffs), name
 
 
 @pytest.mark.parametrize("render, suffix", [(report_to_json, "json"), (report_to_text, "txt")])
-@pytest.mark.parametrize("name", PARAMETRIC)
-def test_parametric_report_matches_golden(parametric_documents, name, render, suffix):
-    assert render(parametric_documents[name]) == (GOLDEN / f"{name}.{suffix}").read_text()
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_parametric_report_matches_golden(system_documents, name, render, suffix):
+    assert render(system_documents[name]) == (GOLDEN / f"{name}.{suffix}").read_text()
 
 
-@pytest.mark.parametrize("name", PARAMETRIC)
+@pytest.mark.parametrize("name", SYSTEMS)
 def test_parametric_trace_matches_golden(name):
     lines = []
-    compute_parametric(name, trace=lines.append)
+    compute_file(name, trace=lines.append)
     text = "".join(line + "\n" for line in lines)
     assert (hashlib.sha256(text.encode()).hexdigest(), len(lines)) == TRACE_TABLE[name]
+
+
+def test_pair_with_coprime_heads_adds_an_element(system_documents):
+    # g2 = 1/2*at*v - 1/2*bt*v - ax*u - bx*u - u and g4 = ax*bx*v - v
+    text = report_to_text(system_documents["q-pairing"])
+    assert "7 elements after autoreduction, 9 completed (16 pairs, 6 pruned," in text
+    lines = []
+    compute_file("q-pairing", trace=lines.append)
+    assert lines[2].startswith("pair (2,4): S = ")
+    assert lines[2].endswith("via [g4, g1, g1, g1, g1, g7, g7, g5]; added g9")

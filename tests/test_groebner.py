@@ -671,7 +671,7 @@ class TestMonicEntries:
         entry = _Tracked(g, DIFF_ORDER, layout.rows(cof))
         assert entry.elem == g.scaled(1 / (A + 1))
         assert layout.element(entry.cof) == cof.scaled(1 / (A + 1))
-        assert entry.lt == Term(0, (1, 0))
+        assert layout.unpack(entry.head) == Term(0, (1, 0))
         monic = _Tracked(entry.elem, DIFF_ORDER, entry.cof)
         assert monic.tail == entry.tail and monic.cof is entry.cof
 
@@ -741,8 +741,9 @@ def test_packed_terms_agree_with_the_term_functions(terms):
     ps, pt = layout.pack(s), layout.pack(t)
     assert layout.unpack(ps) == s and layout.unpack(pt) == t
     assert (ps < pt, ps == pt) == (order.key(s) < order.key(t), order.key(s) == order.key(t))
-    assert layout.divides(ps, pt) == divides(s, t)
-    assert layout.divides(pt, ps) == divides(t, s)
+    # s divides t iff their lcm is t
+    assert (layout.lcm(ps, pt) == pt) == divides(s, t)
+    assert (layout.lcm(pt, ps) == ps) == divides(t, s)
     (shifted,) = apply_monomial(lam, Element({s: 1})).terms
     assert layout.unpack(ps + layout.pack(Term(0, lam))) == shifted
     if divides(s, t):
@@ -770,11 +771,73 @@ def test_packing_refuses_what_does_not_fit(terms, at, minus, over):
         layout.pack(Term(limit + over, s.exps))
 
 
+@st.composite
+def _lcm_terms(draw):
+    """(order, s, t): 1 to 8 operators, a random sequence, and two packable
+    terms of any total, so that their lcm's total may reach the limit."""
+    n = draw(st.integers(1, 8))
+    order = TermOrder(tuple(draw(st.permutations(range(n)))))
+
+    def term():
+        total = draw(st.integers(0, (1 << (FIELD_BITS - 1)) - 1))
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+        return Term(draw(st.integers(0, 3)), tuple(b - a for a, b in zip([0, *cuts], [*cuts, total])))
+
+    return order, term(), term()
+
+
+@given(_lcm_terms())
+@example(terms=(TermOrder((1, 0)), Term(1, ((1 << (FIELD_BITS - 1)) - 1, 0)), Term(2, (0, 1))))
+def test_packed_lcm_is_the_fieldwise_max(terms):
+    order, s, t = terms
+    layout = _layout(order.sequence)
+    lcm = Term(s.gen, tuple(map(max, s.exps, t.exps)))
+    try:
+        want = layout.pack(lcm)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            layout.lcm(layout.pack(s), layout.pack(t))
+    else:
+        assert layout.lcm(layout.pack(s), layout.pack(t)) == want
+
+
+def test_lcm_total_of_exactly_the_limit_is_refused_on_its_generator():
+    limit = 1 << (FIELD_BITS - 1)
+    layout = _layout((2, 0, 1))
+    s, t = Term(3, (limit - 5, 0, 4)), Term(3, (0, 1, 0))
+    lcm = re.escape(str(Term(3, (limit - 5, 1, 4))))
+    with pytest.raises(ValueError, match=f"cannot pack term {lcm}: total order"):
+        layout.lcm(layout.pack(s), layout.pack(t))
+    # one below the limit packs
+    assert layout.unpack(layout.lcm(layout.pack(s), layout.pack(Term(3, (0, 0, 3))))) == s
+
+
+@pytest.mark.parametrize("exps", [(), (7,), (7, 0), (1, 2, 3)])
+def test_unpack_round_trips_at_every_width(exps):
+    # with one operator the exponents are a 1-tuple, not the bare field
+    for sequence in itertools.permutations(range(len(exps))):
+        layout = _layout(sequence)
+        term = Term(2, exps)
+        assert layout.unpack(layout.pack(term)) == term
+        assert type(layout.unpack(layout.pack(term)).exps) is tuple
+
+
+def test_entry_with_leading_coefficient_minus_one_holds_ints():
+    layout = _layout(DIFF_ORDER.sequence)
+    g = el0((-1, (1, 0)), (3, (0, 1)), (Fraction(-1, 2), (0, 0)))
+    entry = _Tracked(g, DIFF_ORDER, {layout.pack(Term(0, (0, 0))): Fraction(-2)})
+    assert entry.elem == -g and layout.element(entry.cof) == el0((2, (0, 0)))
+    assert [type(c) for _, c in entry.tail] == [int, Fraction]
+    assert [type(c) for c in entry.cof.values()] == [int]
+
+
 def test_completion_refuses_an_lcm_beyond_the_field_width():
     # each input packs, but the lcm of their leading terms has total 2^31
     top = (1 << (FIELD_BITS - 1)) - 1
     inputs = [el0((1, (top, 0))), el0((1, (top - 1, 1)))]
-    assert [_Tracked(g, DIFF_ORDER).lt for g in inputs] == [Term(0, (top, 0)), Term(0, (top - 1, 1))]
+    layout = _layout(DIFF_ORDER.sequence)
+    heads = [layout.pack(Term(0, (top, 0))), layout.pack(Term(0, (top - 1, 1)))]
+    assert [_Tracked(g, DIFF_ORDER).head for g in inputs] == heads
     lcm = re.escape(str(Term(0, (top, 1))))
     with pytest.raises(ValueError, match=f"cannot pack term {lcm}"):
         buchberger(inputs, DIFF_ORDER)

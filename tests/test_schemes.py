@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import dimpoly.schemes
 from dimpoly import (
     Element,
     Presentation,
@@ -11,10 +12,12 @@ from dimpoly import (
     Term,
     builtin_scheme,
     builtin_system,
+    combine,
     discretize,
     named_scheme,
     rule_spec,
 )
+from dimpoly.schemes import _CENTRAL2_SQUARE, MAX_DISCRETIZED_TERMS, RULES, _stencil
 
 from conftest import A, counting_copies, el0
 
@@ -44,6 +47,47 @@ class TestStencilImage:
 
     def test_backward(self):
         assert stencil_image("backward", 1) == {0: 1, -1: -1}
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    def test_closed_form_equals_repeated_combine(self, rule):
+        # the k successive products the binomial theorem replaced, as x_1^k
+        # of x_0, x_1, x_2; the terms also come in the same order
+        def lift(stencil):
+            return Element({Term(0, (0, s, 0)): c for s, c in stencil.items()})
+
+        want = lift({0: Fraction(1)})
+        for k in range(13):
+            got = _stencil.__wrapped__(rule, k, 1, 3)
+            if rule == "central2" and k == 2:
+                assert got == lift(_CENTRAL2_SQUARE)
+            else:
+                assert list(got.terms.items()) == list(want.terms.items())
+                assert all(type(c) is Fraction for c in got.terms.values())
+            want = combine(lift(RULES[rule]), [want])
+
+    def test_high_power_forms_no_product(self, monkeypatch):
+        monkeypatch.setattr(dimpoly.schemes, "combine", None)  # a call would raise
+        got = _stencil.__wrapped__("central", 2000, 0, 1)
+        assert len(got.terms) == 2001
+        assert got.terms[Term(0, (0,))] == Fraction(math.comb(2000, 1000), 2**2000)
+
+
+class TestTermBound:
+    def discretize(self, *relations):
+        p = Presentation(kind="differential", operators=("x", "t"), unknowns=("u",), relations=relations)
+        return discretize(p, named_scheme("forward", p.operators)).relations
+
+    def test_counted_from_the_exponents_before_any_stencil(self, monkeypatch):
+        # (49 + 1) * (49 + 1) terms are admitted, and so is t*u - x^2000*u
+        (image,) = self.discretize(el0((1, (49, 49))))
+        assert len(image.terms) == MAX_DISCRETIZED_TERMS == 2500
+        (image,) = self.discretize(el0((1, (0, 1)), (-1, (2000, 0))))
+        assert len(image.terms) == 2002
+        # relation 1 needs a stencil, but relation 2 is refused before it
+        monkeypatch.setattr(dimpoly.schemes, "_stencil", None)  # a call would raise
+        want = r"relation 2 would discretize to up to 2501 terms, more than MAX_DISCRETIZED_TERMS \(2500\)"
+        with pytest.raises(ValueError, match=want):
+            self.discretize(el0((1, (1, 0))), el0((1, (2500, 0))))
 
 
 def heat() -> Presentation:
@@ -165,8 +209,9 @@ class TestSpecs:
 
     def test_long_relation_discretizes_in_linear_time(self, monkeypatch):
         # a relation is collected in one term dict, so discretizing copies
-        # each term a bounded number of times, not once per later term
-        n = 8000
+        # each term a bounded number of times, not once per later term; 4n
+        # terms stay within MAX_DISCRETIZED_TERMS
+        n = 600
         p = Presentation(
             kind="differential",
             operators=("x", "y"),
