@@ -4,9 +4,13 @@ The 12-generator first-order system is its own Groebner basis; its schemes
 need genuine completion work (the forward scheme completes to 80 elements
 before autoreduction).  The forward scheme turns out stronger than the
 symmetric one here, the opposite of the diffusion equation's ranking.
+Across all 256 per-operator rule assignments, only the number of operators
+with a central rule decides the polynomial.
 """
 
+import itertools
 import time
+from collections import defaultdict
 
 from dimpoly import (
     builtin_scheme,
@@ -14,6 +18,7 @@ from dimpoly import (
     compare_strength,
     compute_strength,
     poly_str,
+    rule_spec,
 )
 
 p = builtin_system("maxwell")
@@ -42,3 +47,13 @@ for scheme_name in ("forward", "symmetric"):
     else:
         verdict = compare_strength(forward_poly, doc.dim.polynomial)
         print(f"forward vs symmetric: forward is {verdict}")
+
+classes = defaultdict(list)  # polynomial -> central-rule counts of its assignments
+for rules in itertools.product(("forward", "backward", "central", "central2"), repeat=len(p.operators)):
+    doc = compute_strength(p, scheme=rule_spec(dict(zip(p.operators, rules)), p.operators))
+    classes[poly_str(doc.dim.polynomial)].append(sum(r.startswith("central") for r in rules))
+print(f"{sum(map(len, classes.values()))} rule assignments to {', '.join(p.operators)}:")
+for poly, centrals in classes.items():
+    low, high = min(centrals), max(centrals)
+    span = f"{low}" if low == high else f"{low} to {high}"
+    print(f"  {span} central ({len(centrals)} assignments): {poly}")

@@ -79,6 +79,14 @@ def _read(path: str) -> str:
         raise ValueError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def _read_report(path: str):
+    text = _read(path)
+    try:
+        return report_from_json(text)
+    except ValueError as exc:  # a DslError in the polynomial included
+        raise ValueError(f"{path}: {exc.args[0]}") from None
+
+
 def _load_system(args):
     if args.builtin and args.file:
         raise ValueError("give either a file or --builtin, not both")
@@ -138,7 +146,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    print(compare_reports(report_from_json(_read(args.left)), report_from_json(_read(args.right))))
+    print(compare_reports(_read_report(args.left), _read_report(args.right)))
     return 0
 
 

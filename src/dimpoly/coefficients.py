@@ -6,17 +6,18 @@ parameter).  A RationalFunction is kept in one canonical form: ``num`` and
 ``den`` are tuples of rationals without trailing zeros, ``den`` is monic and
 gcd(num, den) = 1.  Inside those tuples an integral coefficient is the
 ``int`` it equals and only a non-integral one is a Fraction (:func:`_small`,
-the rule the reducer rows of :mod:`dimpoly.groebner` follow too), because
-int arithmetic is several times cheaper than Fraction arithmetic and most
-coefficients over Q(a) are integers.  An int and a Fraction of one value
-compare and hash alike, so equality and hashes do not depend on the form.
-Every division is exact: a coefficient is made a Fraction before it is
-divided (:func:`_quo`), never divided as int / int.  Results are normalized
-only where a Fraction can enter: sums and products that may involve one,
-divisions, and the public constructor.  Results that turn out constant
-collapse back to Fraction, so Fraction is the canonical form of every
-constant value, and ``constant_value``, ``evaluate`` and ``coeff_str``
-return or render Fractions.
+the rule the reducer rows of :mod:`dimpoly.groebner` and ``PolyQ`` of
+:mod:`dimpoly.dimension` follow too; :func:`_canonical` builds such a tuple
+from any rationals), because int arithmetic is several times cheaper than
+Fraction arithmetic and most coefficients over Q(a) are integers.  An int
+and a Fraction of one value compare and hash alike, so equality and hashes
+do not depend on the form.  Every division is exact: a coefficient is made
+a Fraction before it is divided (:func:`_quo`), never divided as int / int.
+Results are normalized only where a Fraction can enter: sums and products
+that may involve one, divisions, and the public constructor.  Results that
+turn out constant collapse back to Fraction, so Fraction is the canonical
+form of every constant value, and ``constant_value``, ``evaluate`` and
+``coeff_str`` return or render Fractions.
 
 Reduction costs a polynomial gcd, so arithmetic takes one only where the
 operands can share a factor.  With x = n/d canonical and c a nonzero scalar
@@ -111,6 +112,12 @@ def _trim(coeffs) -> _Poly:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
+
+
+def _canonical(coeffs: Iterable) -> _Poly:
+    """Any rational coefficients (ints, Fractions, or strings such as
+    ``"1/2"``), ascending, as the kernel's canonical tuple."""
+    return _trim(_small(Fraction(c)) for c in coeffs)
 
 
 def _add(a: _Poly, b: _Poly) -> _Poly:
@@ -232,8 +239,7 @@ class RationalFunction:
     __slots__ = ("parameter", "num", "den")
 
     def __init__(self, parameter: str, num, den=_ONE):
-        num = _trim(_small(Fraction(c)) for c in num)
-        den = _trim(_small(Fraction(c)) for c in den)
+        num, den = _canonical(num), _canonical(den)
         if not den:
             raise ZeroDivisionError("zero denominator in rational function")
         g = _gcd(num, den)

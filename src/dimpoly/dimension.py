@@ -15,10 +15,9 @@ The independent counting oracle counts the free terms of every order exactly,
 without the Hilbert series, by Janet's splitting: x_n^e * s is free exactly
 when s is free of the slice of vectors with last exponent <= e.  The slice
 changes only at the last exponents that occur, and a dominated vector blocks
-nothing new, so no slice needs minimizing.  A brute-force enumeration stays
-as the reference for tests.  Validation requires degree <= n and agreement
-with one table of oracle counts on n+1 or more orders from the threshold,
-which makes the polynomial the exact interpolant of those counts.
+nothing new, so no slice needs minimizing.  Validation requires degree <= n
+and agreement with one table of oracle counts on n+1 or more orders from the
+threshold, which makes the polynomial the exact interpolant of those counts.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from itertools import accumulate, groupby
 from operator import add, itemgetter, sub
 from typing import Iterable, Sequence
 
-from .coefficients import _add, _eval, _mul, _neg, _poly_str, signed_sum
+from .coefficients import _add, _canonical, _eval, _mul, _neg, _poly_str, _scale, _trim, signed_sum
 from .dsl import parse_coefficient
 from .freemodule import Element, TermOrder
 
@@ -49,13 +48,11 @@ __all__ = [
     "dimension_polynomial",
     "expand_binomial_basis",
     "free_module_polynomial",
-    "free_term_count_oracle",
     "free_term_counts",
     "lagrange_interpolate",
     "parse_poly",
     "poly_str",
     "staircase_from_basis",
-    "to_binomial_basis",
     "validate_polynomial",
 ]
 
@@ -68,15 +65,22 @@ class OracleBudgetExceeded(ValueError):
 
 
 class PolyQ:
-    """Univariate polynomial over Q; coefficients ascending, no trailing zeros."""
+    """Univariate polynomial over Q.  ``coeffs`` is the canonical tuple of the
+    coefficient kernel: ascending, no trailing zeros, each integral
+    coefficient the ``int`` it equals (see :mod:`dimpoly.coefficients`);
+    ``coefficient``, ``leading_coefficient`` and ``p(r)`` return Fractions."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", _canonical(coeffs))
+
+    @classmethod
+    def _of(cls, coeffs: tuple) -> "PolyQ":
+        """Wrap a tuple the kernel returned, already canonical."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyQ is immutable")
@@ -87,10 +91,10 @@ class PolyQ:
         return len(self.coeffs) - 1
 
     def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.coeffs[k] if 0 <= k < len(self.coeffs) else 0)
 
     def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.coefficient(self.degree)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -104,17 +108,17 @@ class PolyQ:
         return hash(self.coeffs)
 
     def __add__(self, other: "PolyQ") -> "PolyQ":
-        return PolyQ(_add(self.coeffs, other.coeffs))
+        return PolyQ._of(_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "PolyQ") -> "PolyQ":
-        return self + other.scaled(-1)
+        return PolyQ._of(_add(self.coeffs, _neg(other.coeffs)))
 
     def __mul__(self, other: "PolyQ") -> "PolyQ":
-        return PolyQ(_mul(self.coeffs, other.coeffs))
+        return PolyQ._of(_mul(self.coeffs, other.coeffs))
 
     def scaled(self, c) -> "PolyQ":
-        c = Fraction(c)
-        return PolyQ(x * c for x in self.coeffs)
+        """The polynomial times the int or Fraction ``c``."""
+        return PolyQ._of(_scale(self.coeffs, c))
 
     def __call__(self, r) -> Fraction:
         return _eval(self.coeffs, r)
@@ -144,7 +148,7 @@ def parse_poly(text: str) -> PolyQ:
         return PolyQ((value,))
     if len(value.den) > 1:
         raise ValueError(f"not a polynomial in t: {text!r}")
-    return PolyQ(value.num)
+    return PolyQ._of(value.num)
 
 
 @lru_cache(maxsize=None)
@@ -225,12 +229,10 @@ def dimension_polynomial(stair: Staircase, *, kind: str = "difference") -> "DimP
     numerator: tuple[int, ...] = ()
     for vectors, times in Counter(stair.per_generator).items():
         numerator = _add(numerator, tuple(times * k for k in _hilbert_numerator(vectors)))
-    coeffs = [
+    coeffs = _trim(
         (-1) ** (n - d) * sum(k * math.comb(j, n - d) for j, k in enumerate(numerator))
         for d in range(n + 1)
-    ]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+    )
     polynomial = expand_binomial_basis(coeffs)
     delta_dimension = coeffs[m] if len(coeffs) == m + 1 else 0
     if kind == "inversive":
@@ -242,7 +244,7 @@ def dimension_polynomial(stair: Staircase, *, kind: str = "difference") -> "DimP
             )
     return DimPolyReport(
         polynomial=polynomial,
-        binomial_coeffs=tuple(coeffs),
+        binomial_coeffs=coeffs,
         degree=max(len(coeffs) - 1, 0),
         typical_dimension=coeffs[-1] if coeffs else 0,
         delta_dimension=delta_dimension,
@@ -293,25 +295,6 @@ class DimPolyReport:
     typical_dimension: int
     delta_dimension: int
     validity_threshold: int
-
-
-def to_binomial_basis(p: PolyQ) -> tuple[int, ...]:
-    """Coefficients c_0..c_d with p = sum c_i * C(t+i, i); integers for any
-    integer-valued polynomial, by top-down elimination."""
-    if not p:
-        return ()
-    out = [0] * (p.degree + 1)
-    work = p
-    for i in range(p.degree, -1, -1):
-        c = work.coefficient(i) * math.factorial(i)
-        if c.denominator != 1:
-            raise ValueError(f"{p} is not integer-valued: c_{i} = {c}")
-        out[i] = int(c)
-        if out[i]:
-            work = work - binomial_poly(i).scaled(out[i])
-    if work:
-        raise AssertionError("binomial elimination left a nonzero remainder")
-    return tuple(out)
 
 
 def expand_binomial_basis(coeffs: Sequence[int]) -> PolyQ:
@@ -365,28 +348,6 @@ def compare_strength(p: PolyQ, q: PolyQ) -> str:
 # -- counting oracle ---------------------------------------------------------
 
 
-def free_term_count_oracle(stair: Staircase, r: int) -> int:
-    """Exhaustive count of terms of order <= r free of every staircase vector."""
-    if r < 0:
-        return 0
-    vectors = list(_exponents_up_to(stair.n, r))
-    count = 0
-    for antichain in stair.per_generator:
-        for v in vectors:
-            if not any(all(a <= b for a, b in zip(u, v)) for u in antichain):
-                count += 1
-    return count
-
-
-def _exponents_up_to(n: int, r: int):
-    if n == 0:
-        yield ()
-        return
-    for k in range(r + 1):
-        for rest in _exponents_up_to(n - 1, r - k):
-            yield (k,) + rest
-
-
 def free_term_counts(stair: Staircase, r_max: int) -> list[int]:
     """Exact counts of free terms for every order r in 0..r_max.
 
@@ -404,9 +365,10 @@ def free_term_counts(stair: Staircase, r_max: int) -> list[int]:
     No antichain is minimized: a vector above another blocks only terms the
     lower one blocks already, so the free terms are the same.
 
-    Each distinct slice holds one count per order, r_max + 1 cells.  Raises
-    OracleBudgetExceeded as soon as the slices found so far need more than
-    MAX_ORACLE_CELLS cells, before any count is made.
+    Each distinct slice holds one list of r_max + 1 cells: its counts at the
+    top level, their running sums below it.  Raises OracleBudgetExceeded as
+    soon as the slices found so far need more than MAX_ORACLE_CELLS cells,
+    before any count is made.
     """
     if r_max < 0:
         return []
@@ -439,18 +401,22 @@ def free_term_counts(stair: Staircase, r_max: int) -> list[int]:
             slices[k - 1].update(dict.fromkeys(below for _, _, below in ranges))
             found += len(slices[k - 1]) - known
             _check_budget(found, r_max)
-    counts = {frozenset(): [1] * size}
+    if not stair.n:
+        return [len(tops)] * size  # each top is the empty slice
+    # A slice below the top keeps only the running sums of its counts; the
+    # empty slice's one term is free at every order.
+    running = {frozenset(): range(1, size + 1)}
     for k in range(1, stair.n + 1):
-        running = {antichain: list(accumulate(c)) for antichain, c in counts.items()}
-        counts = {}
+        level = {}
         for antichain, ranges in slices[k].items():
             total = [0] * size
             for a, b, below in ranges:
                 window = running[below]
                 total[a:] = map(add, total[a:], window)
                 total[b:] = map(sub, total[b:], window)
-            counts[antichain] = total
-    return [sum(c) for c in zip(*(counts[t] for t in tops))] if tops else [0] * size
+            level[antichain] = total if k == stair.n else list(accumulate(total))
+        running = level
+    return [sum(c) for c in zip(*(level[t] for t in tops))] if tops else [0] * size
 
 
 def _check_budget(slices: int, r_max: int) -> None:

@@ -42,9 +42,9 @@ appends each new entry to them as it enters the basis.  The reducer changes
 the remainder in place: one packed term -> coefficient dict, with its terms
 in a heap of negated packed terms, so the leading term is the heap top; a
 cancelled term's entry is skipped when popped (lazy deletion).  In head mode
-(:func:`reduce_element`, the completion loop, the Groebner test) it stops at
-the first irreducible leading term.  In full mode (:func:`normal_form`,
-:func:`autoreduce`) it sets that term aside and keeps reducing the tail.
+(the completion loop, the Groebner test) it stops at the first irreducible
+leading term.  In full mode (:func:`normal_form`, the final autoreduction)
+it sets that term aside and keeps reducing the tail.
 Every packed sum, the S-polynomial and each step's remainder and cofactor,
 goes through one merge loop, :func:`_subtract`.  A monic entry makes an
 S-polynomial a plain difference of shifts and a reduction factor the
@@ -67,8 +67,9 @@ so while entries have clear guard bits no field carries into the next;
 :func:`_reduce` raises ValueError on a cofactor with a guard bit set before
 it becomes an entry or leaves the module.
 
-:func:`autoreduce` also makes every element monic and sorts the basis into a
-deterministic canonical form.
+The final autoreduction drops every element whose leading term another
+one divides, reduces the tails of the rest and sorts the basis into a
+deterministic canonical form, each element monic.
 
 :func:`buchberger` selects pairs by the normal strategy: a queue keyed by
 (lcm total degree, insertion index).  A popped pair (i, j) is skipped by
@@ -101,12 +102,9 @@ __all__ = [
     "FIELD_BITS",
     "GroebnerBasis",
     "MAX_PAIRS_FORMED",
-    "autoreduce",
     "buchberger",
     "is_groebner_basis",
     "normal_form",
-    "reduce_element",
-    "s_polynomial",
 ]
 
 # Completion refuses to form more critical pairs than this.  The largest
@@ -122,20 +120,6 @@ _FORMAT = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct code of one field
 
 class CompletionBudgetExceeded(ValueError):
     """Completion would form more than ``MAX_PAIRS_FORMED`` critical pairs."""
-
-
-def s_polynomial(g1: Element, g2: Element, order: TermOrder) -> Element:
-    """S-polynomial of g1 and g2; zero when the leading generators differ."""
-    a, b = _Tracked(g1, order), _Tracked(g2, order)
-    if a.gen != b.gen:
-        return Element()
-    return a.layout.element(_s_poly(a, b, a.layout.lcm(a.head, b.head))[0])
-
-
-def reduce_element(f: Element, basis: Sequence[Element], order: TermOrder) -> Element:
-    """Rewrite the leading term of f modulo ``basis`` until irreducible, the
-    first divisor in list order first."""
-    return _reduce(f, None, _divisors(_track(basis, order)), order, full=False)[0]
 
 
 def normal_form(f: Element, basis: Sequence[Element], order: TermOrder) -> Element:
@@ -522,11 +506,6 @@ def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder):
 
     reduced.sort(key=lambda item: (item[2].gen, item[2].head))
     return [item[0] for item in reduced], [item[1] for item in reduced]
-
-
-def autoreduce(basis: Sequence[Element], order: TermOrder) -> list[Element]:
-    """Minimal monic form of a Groebner basis, deterministically sorted."""
-    return _autoreduce_tracked(_track(basis, order), order)[0]
 
 
 def is_groebner_basis(basis: Sequence[Element], order: TermOrder) -> bool:

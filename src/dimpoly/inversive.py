@@ -18,7 +18,6 @@ from .freemodule import Element, Presentation, Term
 __all__ = [
     "embed_element",
     "embed_presentation",
-    "project_element",
     "saturation_relations",
     "sigma_operator_names",
 ]
@@ -37,14 +36,6 @@ def _split(exps: tuple[int, ...]) -> tuple[int, ...]:
 def embed_element(f: Element, m: int) -> Element:
     """Termwise exponent split Z^m -> N^2m; coefficients unchanged."""
     return Element({Term(t.gen, _split(t.exps)): c for t, c in f.terms.items()})
-
-
-def project_element(f: Element, m: int) -> Element:
-    """Inverse translation N^2m -> Z^m; colliding terms have coefficients
-    summed, so the pairing relations project to zero."""
-    return Element.from_pairs(
-        (c, tuple(t.exps[i] - t.exps[m + i] for i in range(m)), t.gen) for t, c in f.terms.items()
-    )
 
 
 def saturation_relations(m: int, q: int) -> list[Element]:

@@ -229,11 +229,14 @@ def report_to_text(doc: ReportDocument) -> str:
 
 def report_from_json(text: str) -> tuple[str, PolyQ]:
     """The label and the exactly re-parsed polynomial of a JSON report.  A
-    ValueError "not a dimpoly report: ..." names a missing or mistyped field."""
+    ValueError "not a dimpoly report: ..." names text that is not JSON, or a
+    missing or mistyped field."""
     try:
         data = json.loads(text)
     except RecursionError:
         raise ValueError("not a dimpoly report: nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not a dimpoly report: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError("not a dimpoly report: expected a JSON object")
     polynomial, system = data.get("polynomial"), data.get("system")

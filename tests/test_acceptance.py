@@ -13,6 +13,7 @@ frozen here and derived again at runtime (see also the README notes):
 """
 
 import functools
+import itertools
 import json
 import time
 from fractions import Fraction
@@ -30,16 +31,15 @@ from dimpoly import (
     free_term_counts,
     is_groebner_basis,
     parse_poly,
+    rule_spec,
 )
 from dimpoly.builtin_systems import builtin_scheme
 from dimpoly.cli import main as cli_main
-from dimpoly.dimension import (
-    Staircase,
-    free_term_count_oracle,
-    lagrange_interpolate,
-    to_binomial_basis,
-)
+from dimpoly.dimension import Staircase, lagrange_interpolate
 from dimpoly.freemodule import Presentation
+from dimpoly.schemes import RULES
+
+from reference import free_term_count_oracle, to_binomial_basis
 
 
 def criterion(n, label):
@@ -361,3 +361,20 @@ def test_completion_counters_pinned(maxwell_forward, maxwell_symmetric, potentia
             total += doc.basis.pairs_processed
     assert total == 932
     assert potential_forward[0].basis.pairs_pruned > 0
+
+
+def test_maxwell_rule_assignments_fall_into_three_classes():
+    # all 256 assignments of the four rules to x, y, z, t: only the number of
+    # central operators (central and central2 agree on Maxwell's first-order
+    # derivatives) decides the polynomial
+    p = builtin_system("maxwell")
+    want = {
+        0: "4*t^4+18*t^3+35*t^2+31*t+12",  # the forward scheme's
+        1: "4*t^4+56/3*t^3+34*t^2+88/3*t+14",
+        2: "4*t^4+56/3*t^3+36*t^2+64/3*t+22",  # the symmetric scheme's
+    }
+    for rules in itertools.product(sorted(RULES), repeat=len(p.operators)):
+        doc = compute_strength(p, scheme=rule_spec(dict(zip(p.operators, rules)), p.operators))
+        central = sum(rule.startswith("central") for rule in rules)
+        assert doc.dim.polynomial == parse_poly(want[min(central, 2)]), rules
+        assert doc.validation.ok

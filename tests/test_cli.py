@@ -255,6 +255,26 @@ class TestCompare:
             assert (code, out) == (1, "")
             assert err.startswith(f"error: {bad} is not UTF-8 text (")
 
+    def test_report_not_json_names_its_path(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("forward is stronger\n")
+        code, out, err = run(capsys, "compare", str(bad), str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}: not a dimpoly report: Expecting value: line 1 column 1 (char 0)\n"
+
+    def test_report_without_polynomial_names_its_path(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "compute", "--builtin", "diffusion", "--json")
+        good = tmp_path / "good.json"
+        good.write_text(out)
+        data = json.loads(out)
+        del data["polynomial"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        for pair in ((good, bad), (bad, good)):
+            code, out, err = run(capsys, "compare", *map(str, pair))
+            assert (code, out) == (1, "")
+            assert err == f"error: {bad}: not a dimpoly report: polynomial.standard must be a string\n"
+
     @pytest.mark.parametrize(
         "tamper, message",
         [

@@ -13,6 +13,7 @@ import dimpoly.dimension as dimension
 from dimpoly import (
     OracleBudgetExceeded,
     PolyQ,
+    RationalFunction,
     Staircase,
     TermOrder,
     buchberger,
@@ -26,15 +27,10 @@ from dimpoly import (
     staircase_from_basis,
     validate_polynomial,
 )
-from dimpoly.dimension import (
-    MAX_ORACLE_CELLS,
-    binomial_poly,
-    free_term_count_oracle,
-    lagrange_interpolate,
-    to_binomial_basis,
-)
+from dimpoly.dimension import MAX_ORACLE_CELLS, binomial_poly, lagrange_interpolate
 
 from conftest import A, FORWARD_INPUTS, SIGMA_ORDER, el0
+from reference import free_term_count_oracle, to_binomial_basis
 
 # Leading-term exponent vectors read off the published diffusion bases.
 FORWARD_STAIRCASE = Staircase.build(
@@ -157,6 +153,20 @@ class TestOracle:
             tracemalloc.stop()
         assert counts[-1] == sum(math.comb(30 - e, 7) for e in range(3))
         assert peak < 2**20
+
+    def test_one_list_per_slice(self):
+        # the empty slice's running sums are a range, and the top slice keeps
+        # only its counts: about 7 words per order at the peak, where a
+        # counts list and a running-sums list per slice took 12
+        r = 50_000
+        tracemalloc.start()
+        try:
+            counts = free_term_counts(Staircase.build([[(3,)]], 1), r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts[-1] == 3
+        assert peak < 9 * 8 * (r + 1)
 
     def test_many_operators(self):
         # one slice per operator, counted without recursing 1,500 deep
@@ -555,6 +565,33 @@ class TestSingleCheck:
         # the degree bound alone rejects a polynomial that meets every count
         high = validate_polynomial(dataclasses.replace(report, polynomial=p + vanishing), stair)
         assert not high.ok and high.first_mismatch is None
+
+
+class TestPolyQ:
+    @given(st.lists(st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=3), max_size=5))
+    def test_coeffs_are_the_kernel_tuple(self, values):
+        # one normalizer: the same tuple, types included, as a RationalFunction's
+        p = PolyQ(values)
+        trimmed = list(values)
+        while trimmed and trimmed[-1] == 0:
+            trimmed.pop()
+        assert p.coeffs == tuple(trimmed)
+        assert list(map(type, p.coeffs)) == list(map(type, RationalFunction("a", values).num))
+        for q in (p, p + p, p - PolyQ((1, 1)), p * p, p.scaled(Fraction(1, 3)), parse_poly(poly_str(p))):
+            assert not q.coeffs or q.coeffs[-1] != 0
+            assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in q.coeffs)
+
+    def test_accessors_return_fractions(self):
+        for p in (PolyQ((2, 3)), PolyQ((Fraction(1, 2), 4)), PolyQ(), binomial_poly(3)):
+            assert type(p.coefficient(0)) is Fraction
+            assert type(p.coefficient(7)) is Fraction
+            assert type(p.leading_coefficient()) is Fraction
+            assert type(p(5)) is Fraction and type(p(Fraction(1, 3))) is Fraction
+        assert PolyQ((2, 3)).coeffs == (2, 3) and type(PolyQ(("4/2",)).coeffs[0]) is int
+
+    def test_dimension_polynomial_holds_ints(self):
+        p = dimension_polynomial(FORWARD_STAIRCASE).polynomial
+        assert p.coeffs == (0, 5) and all(type(c) is int for c in p.coeffs)
 
 
 class TestPolyStrings:

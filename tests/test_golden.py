@@ -21,50 +21,40 @@ reduced, so a criterion that skipped such pairs would move its counts.
 Their reports are the output of ``dimpoly compute tests/golden/NAME.sys
 --rule OP=RULE ... [--json]``, and their traces are pinned in
 ``traces.sha256`` like the built-ins'.  After an intended change to the
-output, regenerate the files with those commands.
+output, regenerate every file with ``PYTHONPATH=src python
+tests/regenerate_golden.py``, which computes the cases this module checks.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from dimpoly import (
-    RationalFunction,
-    builtin_scheme,
-    builtin_system,
-    compute_strength,
-    parse_system,
-    report_to_json,
-    report_to_text,
-    rule_spec,
-)
+from dimpoly import RationalFunction, report_to_json, report_to_text
 
-GOLDEN = Path(__file__).parent / "golden"
-CASES = [
-    (system, scheme)
-    for system in ("diffusion", "maxwell", "potential")
-    for scheme in (None, "forward", "symmetric")
-]
+from regenerate_golden import (
+    CASES,
+    GOLDEN,
+    SYSTEMS,
+    case_name,
+    compute_builtin,
+    compute_file,
+    trace_lines,
+)
 
 
 @pytest.fixture(scope="module")
 def documents():
-    return {
-        (system, scheme): compute_strength(
-            builtin_system(system),
-            system_name=system,
-            scheme=builtin_scheme(system, scheme) if scheme else None,
-            scheme_name=scheme,
-        )
-        for system, scheme in CASES
-    }
+    return {case: compute_builtin(*case) for case in CASES}
 
 
 @pytest.mark.parametrize("render, suffix", [(report_to_json, "json"), (report_to_text, "txt")])
 @pytest.mark.parametrize("system, scheme", CASES)
 def test_report_matches_golden(documents, system, scheme, render, suffix):
-    path = GOLDEN / f"{system}-{scheme or 'pde'}.{suffix}"
+    path = GOLDEN / f"{case_name(system, scheme)}.{suffix}"
     assert render(documents[(system, scheme)]) == path.read_text()
 
 
@@ -79,38 +69,16 @@ TRACE_TABLE = {
 
 @pytest.mark.parametrize("system, scheme", CASES)
 def test_trace_matches_golden(system, scheme):
-    lines = []
-    compute_strength(
-        builtin_system(system),
-        system_name=system,
-        scheme=builtin_scheme(system, scheme) if scheme else None,
-        scheme_name=scheme,
-        trace=lines.append,
-    )
+    lines = trace_lines(compute_builtin, system, scheme)
     text = "".join(line + "\n" for line in lines)
-    case = f"{system}-{scheme or 'pde'}"
+    case = case_name(system, scheme)
     full = GOLDEN / f"{case}.trace"
     if full.exists():
         assert text == full.read_text()
     assert (hashlib.sha256(text.encode()).hexdigest(), len(lines)) == TRACE_TABLE[case]
 
 
-SYSTEMS = sorted(path.stem for path in GOLDEN.glob("*.sys"))
 PARAMETRIC = [name for name in SYSTEMS if name.startswith("qa-")]
-
-
-def compute_file(name, **options):
-    """What ``dimpoly compute`` does with the file and its ``# rules`` line."""
-    text = (GOLDEN / f"{name}.sys").read_text()
-    rules = dict(item.split("=") for item in text.splitlines()[1].split()[2:])
-    p = parse_system(text).presentation
-    return compute_strength(
-        p,
-        system_name=name,
-        scheme=rule_spec(rules, p.operators),
-        scheme_name=",".join(f"{op}={rule}" for op, rule in rules.items()),
-        **options,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -135,8 +103,7 @@ def test_parametric_report_matches_golden(system_documents, name, render, suffix
 
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_parametric_trace_matches_golden(name):
-    lines = []
-    compute_file(name, trace=lines.append)
+    lines = trace_lines(compute_file, name)
     text = "".join(line + "\n" for line in lines)
     assert (hashlib.sha256(text.encode()).hexdigest(), len(lines)) == TRACE_TABLE[name]
 
@@ -145,7 +112,18 @@ def test_pair_with_coprime_heads_adds_an_element(system_documents):
     # g2 = 1/2*at*v - 1/2*bt*v - ax*u - bx*u - u and g4 = ax*bx*v - v
     text = report_to_text(system_documents["q-pairing"])
     assert "7 elements after autoreduction, 9 completed (16 pairs, 6 pruned," in text
-    lines = []
-    compute_file("q-pairing", trace=lines.append)
+    lines = trace_lines(compute_file, "q-pairing")
     assert lines[2].startswith("pair (2,4): S = ")
     assert lines[2].endswith("via [g4, g1, g1, g1, g1, g7, g7, g5]; added g9")
+
+
+def test_regeneration_reproduces_the_goldens(tmp_path):
+    script = Path(__file__).with_name("regenerate_golden.py")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    subprocess.run([sys.executable, str(script), str(tmp_path)], env=env, check=True, timeout=120)
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in GOLDEN.iterdir() if path.suffix != ".sys")
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name

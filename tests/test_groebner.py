@@ -24,7 +24,6 @@ from dimpoly import (
     staircase_from_basis,
 )
 from dimpoly.builtin_systems import builtin_scheme, builtin_system
-from dimpoly.dimension import free_term_count_oracle
 from dimpoly.coefficients import inverse
 from dimpoly.freemodule import quotient
 from dimpoly.coefficients import RationalFunction
@@ -35,9 +34,6 @@ from dimpoly.groebner import (
     _reduce,
     _track,
     _Tracked,
-    autoreduce,
-    reduce_element,
-    s_polynomial,
 )
 from dimpoly.pipeline import compute_strength
 
@@ -54,6 +50,7 @@ from conftest import (
     el,
     el0,
 )
+from reference import autoreduce, free_term_count_oracle, reduce_element, s_polynomial
 
 DIFF_ORDER = TermOrder((0, 1))
 

@@ -16,9 +16,8 @@ from dimpoly import (
     term_order,
 )
 
-from dimpoly.inversive import project_element
-
 from conftest import A, G2, G3, el0
+from reference import project_element
 
 
 class TestEmbed:

@@ -23,10 +23,12 @@ from dimpoly import (
 from dimpoly.builtin_systems import builtin_scheme
 from dimpoly.dimension import dimension_polynomial, staircase_from_basis
 from dimpoly.freemodule import _raw
-from dimpoly.groebner import autoreduce, buchberger
+from dimpoly.groebner import buchberger
 from dimpoly.inversive import embed_presentation
 from dimpoly.pipeline import compare_reports, resolve_order
 from dimpoly.schemes import discretize, rule_spec
+
+from reference import autoreduce
 
 
 @pytest.fixture(scope="module")
