@@ -83,7 +83,7 @@ def _read_report(path: str):
     text = _read(path)
     try:
         return report_from_json(text)
-    except ValueError as exc:  # a DslError in the polynomial included
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc.args[0]}") from None
 
 

@@ -201,7 +201,7 @@ def combine(cof: Element, gens: Sequence[Element]) -> Element:
     """The combination sum c * x^e * gens[gen] over the terms of ``cof``.
 
     ``cof`` is read as an element of the free module whose generator i stands
-    for ``gens[i]``: a cofactor vector, or a stencil acting on one element.
+    for ``gens[i]``: a cofactor vector, as ``GroebnerBasis.cofactors`` holds.
     """
     acc: dict[Term, Coeff] = {}
     for t, c in cof.terms.items():

@@ -24,12 +24,15 @@ total summed from the chosen fields by one multiplication
 index or a total order at or above 2**(FIELD_BITS - 1) with a ValueError
 that names the term.  Packed inputs and S-polynomial lcms are checked this
 way.  Reduction never raises a total above its leading term's, so no later
-sum can carry into a guard bit.  Elements leave this module unpacked, each
-term once, as :class:`Element` with ``Fraction`` or
-:class:`RationalFunction` coefficients.  Inside, an integral
-``Fraction`` is held as the ``int`` it equals, because int arithmetic is
-several times cheaper; the one helper for that rule, ``_small``, lives in
-:mod:`dimpoly.coefficients`, whose polynomial kernel follows it too.
+sum can carry into a guard bit.  Each entry point (:func:`normal_form`,
+:func:`buchberger`, :func:`is_groebner_basis`) builds the :class:`_Layout`
+of its order once, packs its inputs and passes the layout down; none is
+kept between calls.  Elements leave this module unpacked, each term once,
+as :class:`Element` with ``Fraction`` or :class:`RationalFunction`
+coefficients.  Inside, an integral ``Fraction`` is held as the ``int`` it
+equals, because int arithmetic is several times cheaper; the one helper for
+that rule, ``_small``, lives in :mod:`dimpoly.coefficients`, whose
+polynomial kernel follows it too.
 
 Every rewrite goes through one reducer, :func:`_reduce`.  It works over
 :class:`_Tracked` entries.  Each entry holds a basis element made monic when
@@ -90,7 +93,6 @@ from __future__ import annotations
 import heapq
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import attrgetter, itemgetter, lshift
 from typing import Callable, Iterable, Sequence
 
@@ -124,7 +126,9 @@ class CompletionBudgetExceeded(ValueError):
 
 def normal_form(f: Element, basis: Sequence[Element], order: TermOrder) -> Element:
     """Fully reduce every term of f modulo ``basis`` (tail reduction included)."""
-    return _reduce(f, None, _divisors(_track(basis, order)), order, full=True)[0]
+    layout = _Layout(order.sequence)
+    divisors = _divisors(_track(basis, layout))
+    return layout.element(_reduce(layout.rows(f), None, divisors, layout, full=True)[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,23 +230,16 @@ class _Layout:
         return _raw({self.unpack(t): as_coeff(c) for t, c in rows.items()})
 
 
-@lru_cache(maxsize=64)
-def _layout(sequence: tuple[int, ...]) -> _Layout:
-    return _Layout(sequence)
-
-
 class _Tracked:
     """One basis element inside the completion, made monic: its leading term
     packed as ``head`` and that term's generator as ``gen``, the packed rows
     of its other terms as ``tail``, and the packed rows of its cofactor
     vector, scaled alike."""
 
-    __slots__ = ("layout", "gen", "head", "tail", "cof")
+    __slots__ = ("gen", "head", "tail", "cof")
 
-    def __init__(self, elem: Element | dict[int, Coeff], order: TermOrder, cof=None):
-        """``elem`` is an Element or packed rows (see :func:`_reduce`), ``cof`` rows or None."""
-        self.layout = layout = _layout(order.sequence)
-        rows = elem if isinstance(elem, dict) else layout.rows(elem)
+    def __init__(self, rows: dict[int, Coeff], layout: _Layout, cof=None):
+        """``rows`` are packed rows of ``layout`` (see :func:`_reduce`), ``cof`` rows or None."""
         self.head = head = max(rows)
         self.gen = (head >> layout.gen_shift) & _MASK
         lc = rows[head]
@@ -256,14 +253,9 @@ class _Tracked:
         self.tail = tuple((t, _small(c)) for t, c in rows.items() if t != head)
         self.cof = cof
 
-    @property
-    def elem(self) -> Element:
-        """The monic element, unpacked."""
-        return self.layout.element({self.head: 1, **dict(self.tail)})
 
-
-def _track(basis: Sequence[Element], order: TermOrder) -> list[_Tracked]:
-    return [_Tracked(g, order) for g in basis if g]
+def _track(basis: Sequence[Element], layout: _Layout) -> list[_Tracked]:
+    return [_Tracked(layout.rows(g), layout) for g in basis if g]
 
 
 # Per generator, (packed leading term, basis index, entry) in list order.
@@ -315,16 +307,16 @@ def _s_poly(a: _Tracked, b: _Tracked, lcm: int):
     return s, _subtract({t + u1: c for t, c in a.cof.items()}, b.cof.items(), None, u2)
 
 
-def _reduce(f, cof, divisors: _Divisors, order: TermOrder, full: bool, chain=None):
-    """The one reduction loop: rewrite f modulo the basis whose divisor lists
+def _reduce(rows: dict, cof, divisors: _Divisors, layout: _Layout, full: bool, chain=None):
+    """The one reduction loop: rewrite the packed rows ``rows`` (a dict from
+    packed term to coefficient) modulo the basis whose divisor lists
     (:func:`_divisors`) are ``divisors``.
 
     The first entry in list order whose leading term divides the current
     leading term is used.  Head mode stops at the first irreducible leading
     term; full mode moves it to the remainder and continues with the tail.
-    f is an :class:`Element` or packed rows (a dict from packed term to
-    coefficient), and the remainder comes back in the same form; ``cof`` is
-    packed rows or None, updated alongside.  Neither input is changed.
+    The remainder comes back as packed rows; ``cof`` is packed rows or None,
+    updated alongside.  Neither input is changed.
     ``chain`` (when given) receives the index of each divisor used.  Returns
     (remainder, cof, steps); a cofactor with a guard bit set raises
     ValueError instead (see the module docstring).
@@ -335,9 +327,7 @@ def _reduce(f, cof, divisors: _Divisors, order: TermOrder, full: bool, chain=Non
     is the coefficient being cancelled (g is monic) and lam is the packed
     shift: O(|g| log |r|) instead of rescanning the whole remainder.
     """
-    layout = _layout(order.sequence)
-    packed = isinstance(f, dict)
-    rem = dict(f) if packed else layout.rows(f)
+    rem = dict(rows)
     cof = None if cof is None else dict(cof)
     heap = [-t for t in rem]
     heapq.heapify(heap)
@@ -370,8 +360,7 @@ def _reduce(f, cof, divisors: _Divisors, order: TermOrder, full: bool, chain=Non
     if cof and max(cof) & guards:  # a field at its guard puts the total, the top one, there
         t = layout.unpack(max(cof))
         raise ValueError(f"cofactor term {t}: total order reached 2**{FIELD_BITS - 1}")
-    rem = done if full else rem
-    return (rem if packed else layout.element(rem)), cof, steps
+    return (done if full else rem), cof, steps
 
 
 def buchberger(
@@ -393,10 +382,10 @@ def buchberger(
     reduced to 0).  The call comes before the remainder is added.
     """
     generators = list(generators)
-    layout = _layout(order.sequence)
+    layout = _Layout(order.sequence)
     zero = (0,) * len(order.sequence)
     basis = [
-        _Tracked(g, order, {layout.pack(Term(i, zero)): 1} if track_cofactors else None)
+        _Tracked(layout.rows(g), layout, {layout.pack(Term(i, zero)): 1} if track_cofactors else None)
         for i, g in enumerate(generators)
         if g
     ]
@@ -429,7 +418,7 @@ def buchberger(
         _, _, i, j, lcm = heapq.heappop(heap)
         pairs_processed += 1
         handled.add((i, j))
-        if trace is None and _chain_redundant(divisors[basis[i].gen], handled, i, j, lcm):
+        if trace is None and _chain_redundant(divisors[basis[i].gen], handled, i, j, lcm, layout.guards):
             pairs_pruned += 1
             continue
         s, cof = _s_poly(basis[i], basis[j], lcm)
@@ -438,17 +427,17 @@ def buchberger(
                 trace(i, j, Element(), None, None)
             continue
         chain: list[int] | None = [] if trace else None
-        r, cof, steps = _reduce(s, cof, divisors, order, full=False, chain=chain)
+        r, cof, steps = _reduce(s, cof, divisors, layout, full=False, chain=chain)
         reduction_steps += steps
         if trace:
             trace(i, j, layout.element(s), chain, len(basis) if r else None)
         if r:
-            basis.append(_Tracked(r, order, cof))
+            basis.append(_Tracked(r, layout, cof))
             _add_divisor(divisors, len(basis) - 1, basis[-1])
             push_pairs(len(basis) - 1)
 
     completed_size = len(basis)
-    elements, cofactors = _autoreduce_tracked(basis, order)
+    elements, cofactors = _autoreduce_tracked(basis, layout)
     return GroebnerBasis(
         elements=tuple(elements),
         order=order,
@@ -460,11 +449,11 @@ def buchberger(
     )
 
 
-def _chain_redundant(divisors: list, handled: set[tuple[int, int]], i: int, j: int, lcm: int) -> bool:
-    """Chain criterion for pair (i, j), i < j, with packed lcm(lt_i, lt_j)
-    and the divisor list of their generator: some k other than i and j has
-    lt_k dividing it, and (i, k) and (k, j) are handled."""
-    guards = divisors[0][2].layout.guards
+def _chain_redundant(divisors: list, handled: set, i: int, j: int, lcm: int, guards: int) -> bool:
+    """Chain criterion for pair (i, j), i < j, with packed lcm(lt_i, lt_j),
+    the divisor list of their generator and the layout's guard bits: some k
+    other than i and j has lt_k dividing it, and (i, k) and (k, j) are
+    handled."""
     lcm |= guards
     for h, k, _ in divisors:
         if (
@@ -478,11 +467,10 @@ def _chain_redundant(divisors: list, handled: set[tuple[int, int]], i: int, j: i
     return False
 
 
-def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder):
+def _autoreduce_tracked(basis: list[_Tracked], layout: _Layout):
     """Minimal, tail-reduced and sorted form of the monic ``basis``, and its cofactors."""
     # Minimality: drop elements whose leading term is divisible by another's.
     # Ascending scan guarantees divisors are kept before their multiples.
-    layout = _layout(order.sequence)
     guards = layout.guards
     kept: list[_Tracked] = []
     heads: dict[int, list[int]] = {}  # generator -> kept heads on it
@@ -500,7 +488,7 @@ def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder):
     divisors = _divisors(kept)
     reduced: list[tuple[Element, Element | None, _Tracked]] = []
     for g in kept:
-        rows, cof, _ = _reduce(dict(g.tail), g.cof, divisors, order, full=True)
+        rows, cof, _ = _reduce(dict(g.tail), g.cof, divisors, layout, full=True)
         cof = cof if cof is None else layout.element(cof)
         reduced.append((layout.element({g.head: 1, **rows}), cof, g))
 
@@ -510,13 +498,14 @@ def _autoreduce_tracked(basis: list[_Tracked], order: TermOrder):
 
 def is_groebner_basis(basis: Sequence[Element], order: TermOrder) -> bool:
     """Buchberger criterion: every pairwise S-polynomial reduces to zero."""
-    tracked = _track(basis, order)
+    layout = _Layout(order.sequence)
+    tracked = _track(basis, layout)
     divisors = _divisors(tracked)
     for i, a in enumerate(tracked):
         for b in tracked[i + 1 :]:
             if a.gen != b.gen:
                 continue
-            s, _ = _s_poly(a, b, a.layout.lcm(a.head, b.head))
-            if s and _reduce(s, None, divisors, order, full=False)[0]:
+            s, _ = _s_poly(a, b, layout.lcm(a.head, b.head))
+            if s and _reduce(s, None, divisors, layout, full=False)[0]:
                 return False
     return True

@@ -26,7 +26,7 @@ from .dimension import (
     staircase_from_basis,
     validate_polynomial,
 )
-from .dsl import render_element
+from .dsl import DslError, render_element
 from .freemodule import Element, Presentation, TermOrder, _raw
 from .groebner import GroebnerBasis, buchberger
 from .inversive import embed_presentation
@@ -229,8 +229,9 @@ def report_to_text(doc: ReportDocument) -> str:
 
 def report_from_json(text: str) -> tuple[str, PolyQ]:
     """The label and the exactly re-parsed polynomial of a JSON report.  A
-    ValueError "not a dimpoly report: ..." names text that is not JSON, or a
-    missing or mistyped field."""
+    ValueError "not a dimpoly report: ..." names text that is not JSON, a
+    missing or mistyped field, or the column of ``polynomial.standard`` at
+    which it does not parse."""
     try:
         data = json.loads(text)
     except RecursionError:
@@ -245,7 +246,11 @@ def report_from_json(text: str) -> tuple[str, PolyQ]:
     label = data.get("scheme") or (system.get("name") if isinstance(system, dict) else None)
     if not isinstance(label, str) or not label:
         raise ValueError("not a dimpoly report: scheme or system.name must give a label")
-    return label, parse_poly(polynomial["standard"])
+    try:
+        return label, parse_poly(polynomial["standard"])
+    except DslError as exc:  # its position is in the string, not in the file
+        reason = exc.args[0].partition(": ")[2]
+        raise ValueError(f"not a dimpoly report: polynomial.standard, column {exc.col}: {reason}") from None
 
 
 def compare_reports(left: tuple[str, PolyQ], right: tuple[str, PolyQ]) -> str:

@@ -11,13 +11,13 @@ A preset scheme is a named rule table: one rule for every space operator and
 one for the time operator, the last one declared.  Every scheme, preset or
 not, is built by :func:`rule_spec`.
 
-The k-th power of a two-term stencil a*s^p + b*s^q is its binomial
-expansion, each coefficient C(k, j) * a^j * b^(k-j) got from the one before
-by a small factor: k + 1 terms and no k-fold product.  The stencils of one
-term are multiplied as one-generator :class:`Element`s, by
-:func:`~dimpoly.freemodule.combine`, the same arithmetic that expands
-Groebner cofactors, and each relation is summed in one term dict.  A term
-with exponents k_i so gives at most prod(k_i + 1) terms; :func:`discretize`
+Every rule's stencil is a*s^p - a*s^q, so its k-th power is the binomial
+expansion, each coefficient C(k, j) * a^k * (-1)^(k-j) got from the one
+before by a small factor: k + 1 terms and no k-fold product.  The stencils
+of one term are multiplied into one dict keyed by exponent vector, which is
+added to its relation by :func:`~dimpoly.freemodule._accumulate`.  Stencils
+are built on every call, and nothing is kept between calls.  A term with
+exponents k_i so gives at most prod(k_i + 1) terms; :func:`discretize`
 refuses a relation whose terms add up past ``MAX_DISCRETIZED_TERMS``, before
 any stencil is built.
 """
@@ -27,11 +27,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 from .coefficients import Coeff
-from .freemodule import Element, Presentation, Term, _accumulate, _raw, combine
+from .freemodule import Presentation, Term, _accumulate, _raw
 
 __all__ = [
     "MAX_DISCRETIZED_TERMS",
@@ -50,6 +49,7 @@ MAX_DISCRETIZED_TERMS = 2_500
 # One-variable Laurent polynomial: shift exponent -> coefficient.
 Stencil = dict[int, Coeff]
 
+# Each rule is a*s^p - a*s^q with p > q, the form _stencil expands.
 RULES: dict[str, Stencil] = {
     "forward": {1: Fraction(1), 0: Fraction(-1)},
     "backward": {0: Fraction(1), -1: Fraction(-1)},
@@ -86,20 +86,19 @@ class SchemeSpec:
         )
 
 
-@lru_cache(maxsize=256)
-def _stencil(rule: str, k: int, i: int, m: int) -> Element:
-    """Image of the k-th power of derivation i of m under a rule, as a
-    one-generator element over the m translation operators, shifts in
-    descending order."""
+def _stencil(rule: str, k: int) -> Stencil:
+    """Image of the k-th power of a derivation under a rule, shifts in
+    descending order (see the module docstring)."""
     if rule == "central2" and k == 2:
-        stencil = _CENTRAL2_SQUARE
-    else:
-        (p, a), (q, b) = RULES[rule].items()  # p > q
-        stencil, c, ratio = {}, a**k, b / a
-        for j in range(k, -1, -1):  # c = C(k, j) * a^j * b^(k-j)
-            stencil[p * j + q * (k - j)] = c
-            c = c * ratio * j / (k - j + 1)
-    return _raw({Term(0, (0,) * i + (s,) + (0,) * (m - i - 1)): c for s, c in stencil.items()})
+        return _CENTRAL2_SQUARE
+    if k == 1:
+        return RULES[rule]
+    (p, a), (q, _) = RULES[rule].items()  # p > q
+    stencil, c = {}, a**k
+    for j in range(k, -1, -1):  # c = C(k, j) * a^k * (-1)^(k-j)
+        stencil[p * j + q * (k - j)] = c
+        c = c * -j / (k - j + 1)
+    return stencil
 
 
 def discretize(p: Presentation, spec: SchemeSpec) -> Presentation:
@@ -118,17 +117,21 @@ def discretize(p: Presentation, spec: SchemeSpec) -> Presentation:
                 f"relation {n} would discretize to up to {size} terms, more than "
                 f"MAX_DISCRETIZED_TERMS ({MAX_DISCRETIZED_TERMS})"
             )
-    m = p.num_operators
+    rules = [spec.rules[op] for op in p.operators]
     new_relations = []
     for rel in p.relations:
         image: dict[Term, Coeff] = {}
         for t, c in rel.terms.items():
-            # the product of the per-operator stencils, applied to c * e_gen
-            term = Element({Term(t.gen, (0,) * m): c})
+            # c times the product of the per-operator stencils, by exponent
+            # vector; a product by 1 is skipped, as in _accumulate
+            term = {(0,) * len(rules): c}
             for i, k in enumerate(t.exps):
                 if k:
-                    term = combine(_stencil(spec.rules[p.operators[i]], k, i, m), [term])
-            _accumulate(image, term)
+                    term = {
+                        e[:i] + (s,) + e[i + 1 :]: x if d == 1 else d * x
+                        for s, d in _stencil(rules[i], k).items() for e, x in term.items()
+                    }
+            _accumulate(image, _raw({Term(t.gen, e): x for e, x in term.items()}))
         new_relations.append(_raw(image))
     return Presentation(
         kind="inversive",

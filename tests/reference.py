@@ -18,7 +18,7 @@ import math
 
 from dimpoly import Element, PolyQ, Staircase, TermOrder
 from dimpoly.dimension import binomial_poly
-from dimpoly.groebner import _autoreduce_tracked, _divisors, _reduce, _s_poly, _track, _Tracked
+from dimpoly.groebner import _autoreduce_tracked, _divisors, _Layout, _reduce, _s_poly, _track, _Tracked
 
 
 def free_term_count_oracle(stair: Staircase, r: int) -> int:
@@ -72,18 +72,22 @@ def project_element(f: Element, m: int) -> Element:
 
 def s_polynomial(g1: Element, g2: Element, order: TermOrder) -> Element:
     """S-polynomial of g1 and g2; zero when the leading generators differ."""
-    a, b = _Tracked(g1, order), _Tracked(g2, order)
+    layout = _Layout(order.sequence)
+    a, b = _Tracked(layout.rows(g1), layout), _Tracked(layout.rows(g2), layout)
     if a.gen != b.gen:
         return Element()
-    return a.layout.element(_s_poly(a, b, a.layout.lcm(a.head, b.head))[0])
+    return layout.element(_s_poly(a, b, layout.lcm(a.head, b.head))[0])
 
 
 def reduce_element(f: Element, basis, order: TermOrder) -> Element:
     """Rewrite the leading term of f modulo ``basis`` until irreducible, the
     first divisor in list order first."""
-    return _reduce(f, None, _divisors(_track(basis, order)), order, full=False)[0]
+    layout = _Layout(order.sequence)
+    divisors = _divisors(_track(basis, layout))
+    return layout.element(_reduce(layout.rows(f), None, divisors, layout, full=False)[0])
 
 
 def autoreduce(basis, order: TermOrder) -> list[Element]:
     """Minimal monic form of a Groebner basis, deterministically sorted."""
-    return _autoreduce_tracked(_track(basis, order), order)[0]
+    layout = _Layout(order.sequence)
+    return _autoreduce_tracked(_track(basis, layout), layout)[0]

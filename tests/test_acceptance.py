@@ -378,3 +378,39 @@ def test_maxwell_rule_assignments_fall_into_three_classes():
         central = sum(rule.startswith("central") for rule in rules)
         assert doc.dim.polynomial == parse_poly(want[min(central, 2)]), rules
         assert doc.validation.ok
+
+
+# The 19 of potential's 35 orbits of rule assignments that complete in under
+# 0.1 s each, by their sorted representative, with the polynomial of each.
+POTENTIAL_ORBITS = {
+    ("backward", "backward", "backward", "backward"): "15*t^3-7/2*t^2+43/2*t+2",
+    ("backward", "backward", "backward", "central"): "16*t^3-9*t^2+30*t-1",
+    ("backward", "backward", "backward", "forward"): "15*t^3-7/2*t^2+43/2*t+2",
+    ("backward", "backward", "central", "central"): "16*t^3-8*t^2+24*t+8",
+    ("backward", "backward", "central", "central2"): "32/3*t^3+46*t^2-506/3*t+247",
+    ("backward", "backward", "central", "forward"): "16*t^3-9*t^2+30*t-1",
+    ("backward", "backward", "forward", "forward"): "15*t^3-7/2*t^2+43/2*t+2",
+    ("backward", "central", "central", "central"): "16*t^3-8*t^2+24*t+8",
+    ("backward", "central", "central", "central2"): "32/3*t^3+48*t^2-560/3*t+288",
+    ("backward", "central", "central", "forward"): "16*t^3-8*t^2+24*t+8",
+    ("backward", "central", "forward", "forward"): "16*t^3-9*t^2+30*t-1",
+    ("backward", "forward", "forward", "forward"): "15*t^3-7/2*t^2+43/2*t+2",
+    ("central", "central", "central", "central"): "16*t^3-8*t^2+24*t+8",
+    ("central", "central", "central", "central2"): "32/3*t^3+48*t^2-560/3*t+288",
+    ("central", "central", "central", "forward"): "16*t^3-8*t^2+24*t+8",
+    ("central", "central", "central2", "forward"): "32/3*t^3+48*t^2-560/3*t+288",
+    ("central", "central", "forward", "forward"): "16*t^3-8*t^2+24*t+8",
+    ("central", "forward", "forward", "forward"): "16*t^3-9*t^2+30*t-1",
+    ("forward", "forward", "forward", "forward"): "15*t^3-7/2*t^2+43/2*t+2",
+}
+
+
+def test_potential_rule_assignments_are_symmetric_in_the_pairs():
+    # permuting the pairs (x_i, u_i) maps potential to itself, so the reverse
+    # of a representative gives the representative's polynomial
+    p = builtin_system("potential")
+    for rules, want in POTENTIAL_ORBITS.items():
+        reverse = rules[::-1]
+        doc = compute_strength(p, scheme=rule_spec(dict(zip(p.operators, reverse)), p.operators))
+        assert doc.dim.polynomial == parse_poly(want), reverse
+        assert doc.validation.ok

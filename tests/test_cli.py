@@ -275,6 +275,15 @@ class TestCompare:
             assert (code, out) == (1, "")
             assert err == f"error: {bad}: not a dimpoly report: polynomial.standard must be a string\n"
 
+    def test_unparsable_polynomial_names_its_column(self, capsys, tmp_path):
+        # the position is a column of the polynomial string, not of the file
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"polynomial": {"standard": "2*t+"}, "scheme": "s"}))
+        code, out, err = run(capsys, "compare", str(bad), str(bad))
+        assert (code, out) == (1, "")
+        want = "not a dimpoly report: polynomial.standard, column 5: unexpected 'end of line'"
+        assert err == f"error: {bad}: {want}\n"
+
     @pytest.mark.parametrize(
         "tamper, message",
         [

@@ -90,10 +90,11 @@ class TestOracle:
             )
             counts = free_term_counts(stair, 8)
             assert counts == [free_term_count_oracle(stair, r) for r in range(9)]
-        # exponents and orders reaching 127 and 128
-        for r in (127, 128):
-            stair = Staircase.build([[(r, 0, 0), (60, 67, 0), (1, 1, 126)], [(0, 0, r)], []], 3)
-            assert free_term_counts(stair, r)[-1] == free_term_count_oracle(stair, r)
+        # one staircase with vectors of order exactly r and r + 1, counted
+        # to both orders
+        r = 40
+        stair = Staircase.build([[(r, 0, 0), (19, 21, 0), (1, 1, r - 1)], [(0, 0, r + 1)], []], 3)
+        assert free_term_counts(stair, r + 1)[r:] == [free_term_count_oracle(stair, s) for s in (r, r + 1)]
 
     def test_budget_refused_before_enumerating(self):
         # 8 operators to r = 30 are C(38, 8) = 48.9M terms, but only one slice

@@ -127,3 +127,18 @@ def test_regeneration_reproduces_the_goldens(tmp_path):
     assert written == sorted(path.name for path in GOLDEN.iterdir() if path.suffix != ".sys")
     for name in written:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_output_digest_is_reproducible():
+    # two runs of output_digest.py on builtin-nine, under different string
+    # hash seeds, print the same digest of every output
+    script = Path(__file__).with_name("output_digest.py")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    printed = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        argv = [sys.executable, str(script), "--workload", "builtin-nine", "--seed", "1"]
+        printed.append(subprocess.run(argv, env=env, check=True, capture_output=True, text=True, timeout=120).stdout)
+    assert printed[0] == printed[1]
+    assert printed[0].startswith("builtin-nine seed=1 ") and len(printed[0].split()[-1]) == 64

@@ -30,7 +30,7 @@ from dimpoly.coefficients import RationalFunction
 from dimpoly.groebner import (
     FIELD_BITS,
     _divisors,
-    _layout,
+    _Layout,
     _reduce,
     _track,
     _Tracked,
@@ -597,6 +597,11 @@ _WIDE = (
 )
 
 
+def _element(entry, layout):
+    """The monic element an entry holds, unpacked."""
+    return layout.element({entry.head: 1, **dict(entry.tail)})
+
+
 def _originals(basis, order, cofs=None):
     """Entries that keep each element as given, leading coefficient and all."""
     cofs = cofs or [None] * len(basis)
@@ -612,25 +617,26 @@ def test_reduce_matches_the_rescanning_loop(inputs, full, tracked):
     over the original elements, which divides by their leading coefficients
     at every step."""
     f, basis, order = inputs
-    layout = _layout(order.sequence)
+    layout = _Layout(order.sequence)
     zero = (0,) * len(order.sequence)
     cofs = [Element({Term(k, zero): 1}) for k in range(len(basis) + 1)] if tracked else None
     # cofactors enter the reducer as packed rows and are unpacked to compare
-    entries = [_Tracked(g, order, cofs and layout.rows(cofs[k])) for k, g in enumerate(basis)]
-    assert all(g.elem.leading_term(order)[1] == 1 for g in entries)
+    entries = [_Tracked(layout.rows(g), layout, cofs and layout.rows(cofs[k])) for k, g in enumerate(basis)]
+    assert all(_element(g, layout).leading_term(order)[1] == 1 for g in entries)
     cof = cofs and cofs[-1]
     chain, want_chain = [], []
-    r, rows, steps = _reduce(f, cof and layout.rows(cof), _divisors(entries), order, full, chain)
-    got = r, (None if rows is None else layout.element(rows)), steps
+    r, rows, steps = _reduce(layout.rows(f), cof and layout.rows(cof), _divisors(entries), layout, full, chain)
+    got = layout.element(r), (None if rows is None else layout.element(rows)), steps
     assert got == _reference_reduce(f, cof, _originals(basis, order, cofs), order, full, want_chain)
     assert chain == want_chain
 
 
 def test_returning_term_is_reduced_in_two_steps():
     f, basis, order = _RETURNING
+    layout = _Layout(order.sequence)
     chain = []
-    r, _, steps = _reduce(f, None, _divisors(_track(basis, order)), order, False, chain)
-    assert (r, steps, chain) == (el0((1, (0, 1))), 2, [0, 1])
+    r, _, steps = _reduce(layout.rows(f), None, _divisors(_track(basis, layout)), layout, False, chain)
+    assert (layout.element(r), steps, chain) == (el0((1, (0, 1))), 2, [0, 1])
 
 
 # -- monic entries: a leading coefficient is divided out once, on entry ---------
@@ -664,12 +670,12 @@ class TestMonicEntries:
     def test_entry_is_monic_with_its_cofactor_scaled_alike(self):
         g = el0((A + 1, (1, 0)), (2 * A, (0, 1)), (-1, (0, 0)))
         cof = el0((1, (0, 0)))
-        layout = _layout(DIFF_ORDER.sequence)
-        entry = _Tracked(g, DIFF_ORDER, layout.rows(cof))
-        assert entry.elem == g.scaled(1 / (A + 1))
+        layout = _Layout(DIFF_ORDER.sequence)
+        entry = _Tracked(layout.rows(g), layout, layout.rows(cof))
+        assert _element(entry, layout) == g.scaled(1 / (A + 1))
         assert layout.element(entry.cof) == cof.scaled(1 / (A + 1))
         assert layout.unpack(entry.head) == Term(0, (1, 0))
-        monic = _Tracked(entry.elem, DIFF_ORDER, entry.cof)
+        monic = _Tracked(layout.rows(_element(entry, layout)), layout, entry.cof)
         assert monic.tail == entry.tail and monic.cof is entry.cof
 
     def test_cofactors_expand_over_q_a_with_non_monic_heads(self):
@@ -734,7 +740,7 @@ def _packed_terms(draw):
 @given(_packed_terms())
 def test_packed_terms_agree_with_the_term_functions(terms):
     order, s, t, lam = terms
-    layout = _layout(order.sequence)
+    layout = _Layout(order.sequence)
     ps, pt = layout.pack(s), layout.pack(t)
     assert layout.unpack(ps) == s and layout.unpack(pt) == t
     assert (ps < pt, ps == pt) == (order.key(s) < order.key(t), order.key(s) == order.key(t))
@@ -750,7 +756,7 @@ def test_packed_terms_agree_with_the_term_functions(terms):
 @given(_packed_terms(), st.integers(0, 7), st.integers(1, 10**5), st.integers(0, 10**5))
 def test_packing_refuses_what_does_not_fit(terms, at, minus, over):
     order, s, _, _ = terms
-    layout = _layout(order.sequence)
+    layout = _Layout(order.sequence)
     n = len(s.exps)
     limit = 1 << (FIELD_BITS - 1)
     if n:
@@ -787,7 +793,7 @@ def _lcm_terms(draw):
 @example(terms=(TermOrder((1, 0)), Term(1, ((1 << (FIELD_BITS - 1)) - 1, 0)), Term(2, (0, 1))))
 def test_packed_lcm_is_the_fieldwise_max(terms):
     order, s, t = terms
-    layout = _layout(order.sequence)
+    layout = _Layout(order.sequence)
     lcm = Term(s.gen, tuple(map(max, s.exps, t.exps)))
     try:
         want = layout.pack(lcm)
@@ -800,7 +806,7 @@ def test_packed_lcm_is_the_fieldwise_max(terms):
 
 def test_lcm_total_of_exactly_the_limit_is_refused_on_its_generator():
     limit = 1 << (FIELD_BITS - 1)
-    layout = _layout((2, 0, 1))
+    layout = _Layout((2, 0, 1))
     s, t = Term(3, (limit - 5, 0, 4)), Term(3, (0, 1, 0))
     lcm = re.escape(str(Term(3, (limit - 5, 1, 4))))
     with pytest.raises(ValueError, match=f"cannot pack term {lcm}: total order"):
@@ -813,17 +819,17 @@ def test_lcm_total_of_exactly_the_limit_is_refused_on_its_generator():
 def test_unpack_round_trips_at_every_width(exps):
     # with one operator the exponents are a 1-tuple, not the bare field
     for sequence in itertools.permutations(range(len(exps))):
-        layout = _layout(sequence)
+        layout = _Layout(sequence)
         term = Term(2, exps)
         assert layout.unpack(layout.pack(term)) == term
         assert type(layout.unpack(layout.pack(term)).exps) is tuple
 
 
 def test_entry_with_leading_coefficient_minus_one_holds_ints():
-    layout = _layout(DIFF_ORDER.sequence)
+    layout = _Layout(DIFF_ORDER.sequence)
     g = el0((-1, (1, 0)), (3, (0, 1)), (Fraction(-1, 2), (0, 0)))
-    entry = _Tracked(g, DIFF_ORDER, {layout.pack(Term(0, (0, 0))): Fraction(-2)})
-    assert entry.elem == -g and layout.element(entry.cof) == el0((2, (0, 0)))
+    entry = _Tracked(layout.rows(g), layout, {layout.pack(Term(0, (0, 0))): Fraction(-2)})
+    assert _element(entry, layout) == -g and layout.element(entry.cof) == el0((2, (0, 0)))
     assert [type(c) for _, c in entry.tail] == [int, Fraction]
     assert [type(c) for c in entry.cof.values()] == [int]
 
@@ -832,9 +838,9 @@ def test_completion_refuses_an_lcm_beyond_the_field_width():
     # each input packs, but the lcm of their leading terms has total 2^31
     top = (1 << (FIELD_BITS - 1)) - 1
     inputs = [el0((1, (top, 0))), el0((1, (top - 1, 1)))]
-    layout = _layout(DIFF_ORDER.sequence)
+    layout = _Layout(DIFF_ORDER.sequence)
     heads = [layout.pack(Term(0, (top, 0))), layout.pack(Term(0, (top - 1, 1)))]
-    assert [_Tracked(g, DIFF_ORDER).head for g in inputs] == heads
+    assert [_Tracked(layout.rows(g), layout).head for g in inputs] == heads
     lcm = re.escape(str(Term(0, (top, 1))))
     with pytest.raises(ValueError, match=f"cannot pack term {lcm}"):
         buchberger(inputs, DIFF_ORDER)
@@ -846,18 +852,18 @@ def test_cofactor_beyond_the_field_width_is_refused():
     # the entry's cofactor has a term of total 2^31 - 1; the first step of
     # reducing x^2 by x - 1 shifts it by x, to total 2^31
     top = (1 << (FIELD_BITS - 1)) - 1
-    layout = _layout(DIFF_ORDER.sequence)
-    f, start = el0((1, (2, 0))), {layout.pack(Term(1, (0, 0))): 1}
+    layout = _Layout(DIFF_ORDER.sequence)
+    f, start = layout.rows(el0((1, (2, 0)))), {layout.pack(Term(1, (0, 0))): 1}
     for edge, fits in ((top - 1, True), (top, False)):
         cof = {layout.pack(Term(0, (edge, 0))): 1}
-        divisors = _divisors([_Tracked(el0((1, (1, 0)), (-1, (0, 0))), DIFF_ORDER, cof)])
+        divisors = _divisors([_Tracked(layout.rows(el0((1, (1, 0)), (-1, (0, 0)))), layout, cof)])
         if fits:
-            _, rows, steps = _reduce(f, start, divisors, DIFF_ORDER, full=False)
+            _, rows, steps = _reduce(f, start, divisors, layout, full=False)
             assert steps == 2 and layout.unpack(max(rows)) == Term(0, (top, 0))
         else:
             wide = re.escape(str(Term(0, (top + 1, 0))))
             with pytest.raises(ValueError, match=f"cofactor term {wide}: total order reached 2\\*\\*31"):
-                _reduce(f, start, divisors, DIFF_ORDER, full=False)
+                _reduce(f, start, divisors, layout, full=False)
 
 
 # -- no int coefficient leaves the reducer --------------------------------------
@@ -887,12 +893,12 @@ def test_every_coefficient_leaves_as_fraction_or_rational_function(inputs, order
     out = [*gb.elements, *gb.cofactors, *traced, normal_form(f, inputs, order), reduce_element(f, inputs, order)]
     out += [s_polynomial(g, h, order) for g in inputs for h in inputs]
     zero = (0,) * len(order.sequence)
-    layout = _layout(order.sequence)
+    layout = _Layout(order.sequence)
     for full in (False, True):
         # cofactors are packed rows inside the reducer
-        entries = [_Tracked(g, order, layout.rows(u)) for g, u in zip(gb.elements, gb.cofactors)]
+        entries = [_Tracked(layout.rows(g), layout, layout.rows(u)) for g, u in zip(gb.elements, gb.cofactors)]
         start = layout.rows(Element({Term(len(inputs), zero): 1}))
-        r, cof, _ = _reduce(f, start, _divisors(entries), order, full)
-        out += [r, layout.element(cof)]
+        r, cof, _ = _reduce(layout.rows(f), start, _divisors(entries), layout, full)
+        out += [layout.element(r), layout.element(cof)]
     assert any(g.terms for g in out)
     assert _coefficient_types(out) <= {Fraction, RationalFunction}

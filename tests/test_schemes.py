@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -57,19 +59,43 @@ class TestStencilImage:
 
         want = lift({0: Fraction(1)})
         for k in range(13):
-            got = _stencil.__wrapped__(rule, k, 1, 3)
+            got = _stencil(rule, k)
             if rule == "central2" and k == 2:
-                assert got == lift(_CENTRAL2_SQUARE)
+                assert lift(got) == lift(_CENTRAL2_SQUARE)
             else:
-                assert list(got.terms.items()) == list(want.terms.items())
-                assert all(type(c) is Fraction for c in got.terms.values())
+                assert list(lift(got).terms.items()) == list(want.terms.items())
+                assert all(type(c) is Fraction for c in got.values())
             want = combine(lift(RULES[rule]), [want])
 
-    def test_high_power_forms_no_product(self, monkeypatch):
-        monkeypatch.setattr(dimpoly.schemes, "combine", None)  # a call would raise
-        got = _stencil.__wrapped__("central", 2000, 0, 1)
-        assert len(got.terms) == 2001
-        assert got.terms[Term(0, (0,))] == Fraction(math.comb(2000, 1000), 2**2000)
+    def test_every_rule_is_a_difference_of_two_shifts(self):
+        # _stencil expands a*s^p - a*s^q with p > q
+        for rule, stencil in RULES.items():
+            (p, a), (q, b) = stencil.items()
+            assert p > q and b == -a, rule
+
+    def test_high_power_forms_no_product(self):
+        # the k + 1 binomial coefficients come one from the other, and no
+        # element product is formed: schemes does not import combine
+        assert not hasattr(dimpoly.schemes, "combine")
+        got = _stencil("central", 2000)
+        assert len(got) == 2001
+        assert got[0] == Fraction(math.comb(2000, 1000), 2**2000)
+
+    def test_high_power_keeps_nothing_after_the_call(self):
+        # stencils are built on every call: once the image of central x^2000
+        # is dropped, none of its 2001 coefficients stays allocated
+        p = Presentation(kind="differential", operators=("x",), unknowns=("u",), relations=(el0((1, (2000,))),))
+        spec = rule_spec({"x": "central"}, ("x",))
+        tracemalloc.start()
+        try:
+            (image,) = discretize(p, spec).relations
+            assert len(image.terms) == 2001
+            del image
+            gc.collect()  # a full collection also empties the tuple free lists
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 64 * 1024
 
 
 class TestTermBound:
@@ -209,8 +235,8 @@ class TestSpecs:
 
     def test_long_relation_discretizes_in_linear_time(self, monkeypatch):
         # a relation is collected in one term dict, so discretizing copies
-        # each term a bounded number of times, not once per later term; 4n
-        # terms stay within MAX_DISCRETIZED_TERMS
+        # or merges each term a bounded number of times, not once per later
+        # term; 4n terms stay within MAX_DISCRETIZED_TERMS
         n = 600
         p = Presentation(
             kind="differential",
@@ -218,12 +244,20 @@ class TestSpecs:
             unknowns=tuple(f"u{k}" for k in range(n)),
             relations=(Element({Term(k, (1, 1)): Fraction(1) for k in range(n)}),),
         )
+        # each term's stencil product is merged into the relation once
+        merged = []
+
+        def accumulate(acc, f, *args, merge=dimpoly.schemes._accumulate):
+            merged.append(len(f.terms))
+            return merge(acc, f, *args)
+
+        monkeypatch.setattr(dimpoly.schemes, "_accumulate", accumulate)
         with counting_copies(monkeypatch) as copied:
             (image,) = discretize(p, rule_spec({}, p.operators)).relations
         # forward in x and y: (x - 1)(y - 1) u_k
         signs = {(1, 1): 1, (1, 0): -1, (0, 1): -1, (0, 0): 1}
         assert image == Element({Term(k, e): Fraction(c) for k in range(n) for e, c in signs.items()})
-        assert n <= sum(copied) <= 3 * len(image.terms)
+        assert n <= sum(copied) + sum(merged) <= 3 * len(image.terms)
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
