@@ -54,9 +54,11 @@ MAX_OPERATOR_EXPONENT = 100_000  # the Hilbert numerator is as long as the large
 
 
 class DslError(ValueError):
-    """Parse or resolution failure, carrying a source position."""
+    """Parse or resolution failure, carrying a source position and the bare
+    reason."""
 
     def __init__(self, message: str, line: int, col: int):
+        self.reason = message
         self.line = line
         self.col = col
         super().__init__(f"line {line}, column {col}: {message}")

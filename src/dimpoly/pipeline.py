@@ -249,8 +249,7 @@ def report_from_json(text: str) -> tuple[str, PolyQ]:
     try:
         return label, parse_poly(polynomial["standard"])
     except DslError as exc:  # its position is in the string, not in the file
-        reason = exc.args[0].partition(": ")[2]
-        raise ValueError(f"not a dimpoly report: polynomial.standard, column {exc.col}: {reason}") from None
+        raise ValueError(f"not a dimpoly report: polynomial.standard, column {exc.col}: {exc.reason}") from None
 
 
 def compare_reports(left: tuple[str, PolyQ], right: tuple[str, PolyQ]) -> str:

@@ -91,8 +91,6 @@ def _stencil(rule: str, k: int) -> Stencil:
     descending order (see the module docstring)."""
     if rule == "central2" and k == 2:
         return _CENTRAL2_SQUARE
-    if k == 1:
-        return RULES[rule]
     (p, a), (q, _) = RULES[rule].items()  # p > q
     stencil, c = {}, a**k
     for j in range(k, -1, -1):  # c = C(k, j) * a^k * (-1)^(k-j)

@@ -2,10 +2,11 @@
 
     PYTHONPATH=src python tests/output_digest.py [--workload W ...] [--seed S ...]
 
-The cases are those of ``perfbench/workloads.py``, each computed as ``dimpoly
-compute`` computes it.  A case contributes, in this order: its untraced JSON
-and text reports, its ``--trace`` lines, and the JSON and text reports of the
-traced run.  A failing case contributes its error instead.  Run it on two
+The cases are those of ``perfbench/workloads.py``, built into inputs by the
+benchmark's own ``build_inputs`` and each computed as ``dimpoly compute``
+computes it.  A case contributes, in this order: its untraced JSON and text
+reports, its ``--trace`` lines, and the JSON and text reports of the traced
+run.  A failing case contributes its error instead.  Run it on two
 checkouts to check that a change leaves every output as it was: equal
 digests mean equal outputs.  By default it covers every workload at seeds 1
 and 7; builtin-nine does not depend on the seed.
@@ -18,35 +19,20 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+import dimpoly  # noqa: E402
+from run import build_inputs  # noqa: E402
 from workloads import WORKLOADS, workload_cases  # noqa: E402
 
-from dimpoly import (  # noqa: E402
-    builtin_scheme,
-    builtin_system,
-    compute_strength,
-    parse_system,
-    report_to_json,
-    report_to_text,
-    rule_spec,
-)
 
-
-def case_outputs(spec) -> list[str]:
-    """The outputs of one workload case, as ``dimpoly compute`` gives them."""
-    if spec.builtin is not None:
-        p = builtin_system(spec.builtin)
-        scheme = builtin_scheme(spec.builtin, spec.scheme) if spec.scheme else None
-        options = dict(system_name=spec.builtin, scheme=scheme, scheme_name=spec.scheme)
-    else:
-        p = parse_system(spec.text).presentation
-        label = ",".join(f"{op}={rule}" for op, rule in spec.rules)
-        options = dict(system_name="case", scheme=rule_spec(dict(spec.rules), p.operators), scheme_name=label)
+def case_outputs(case) -> list[str]:
+    """The outputs of one benchmark case, as ``dimpoly compute`` gives them."""
+    options = dict(system_name=case.system_name, scheme=case.scheme, scheme_name=case.scheme_name)
     out = []
     try:
-        doc = compute_strength(p, **options)
-        out += [report_to_json(doc), report_to_text(doc)]
-        doc = compute_strength(p, trace=out.append, **options)
-        out += [report_to_json(doc), report_to_text(doc)]
+        doc = dimpoly.compute_strength(case.presentation, **options)
+        out += [dimpoly.report_to_json(doc), dimpoly.report_to_text(doc)]
+        doc = dimpoly.compute_strength(case.presentation, trace=out.append, **options)
+        out += [dimpoly.report_to_json(doc), dimpoly.report_to_text(doc)]
     except ValueError as exc:  # a budget refusal is an output too
         out.append(f"error: {type(exc).__name__}: {exc}")
     return out
@@ -54,8 +40,8 @@ def case_outputs(spec) -> list[str]:
 
 def digest(workload: str, seed: int) -> str:
     h = hashlib.sha256()
-    for spec in workload_cases(workload, seed):
-        for text in case_outputs(spec):
+    for case in build_inputs(dimpoly, workload_cases(workload, seed)):
+        for text in case_outputs(case):
             h.update(text.encode())
             h.update(b"\0")
     return h.hexdigest()

@@ -53,6 +53,9 @@ class TestParse:
             parse_system(src)
         assert "undeclared identifier 't'" in str(err.value)
         assert "line 5" in str(err.value)
+        # the bare reason is kept apart from the position
+        assert str(err.value) == f"line {err.value.line}, column {err.value.col}: {err.value.reason}"
+        assert err.value.reason == "undeclared identifier 't'"
 
     def test_negative_exponent_needs_inversive(self):
         src = DIFFUSION_SRC.replace("x^2", "x^-1")
