@@ -11,6 +11,16 @@ C(t + d, d) are the integers c_d = h_{n-d}, read off K with integer
 arithmetic; the standard polynomial over Q and the invariants (degree,
 typical dimension, module dimension) all follow from them.
 
+The minimization of each antichain and Bigatti's recursion run on packed
+monomials (:class:`_Packing`): an exponent vector of n operators is one int
+of n + 1 fields, its order in the top field and its exponents below in
+vector order, so packed ints sort as (order, vector) tuples do.  Each field
+is the bit length of the largest order in the staircase plus one guard bit.
+No exponent, order or colon exceeds that largest order, so no field reaches
+its guard bit, and "v divides u" is one guard-bit subtraction, as in
+:mod:`dimpoly.groebner`.  The colon by x_i^e subtracts min(v_i, e) from
+field i and from the order field, and numerators are plain int lists.
+
 The independent counting oracle counts the free terms of every order exactly,
 without the Hilbert series, by Janet's splitting: x_n^e * s is free exactly
 when s is free of the slice of vectors with last exponent <= e.  The slice
@@ -28,12 +38,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, groupby
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, lshift, sub
 from typing import Iterable, Sequence
 
 from .coefficients import _add, _canonical, _eval, _mul, _neg, _poly_str, _scale, _trim, signed_sum
 from .dsl import parse_coefficient
-from .freemodule import Element, TermOrder
+from .freemodule import Term
 
 __all__ = [
     "DimPolyReport",
@@ -162,41 +172,74 @@ def binomial_poly(n: int) -> PolyQ:
 
 @dataclass(frozen=True, slots=True)
 class Staircase:
-    """Per-generator minimal antichains of leading-term exponent vectors."""
+    """Per-generator minimal antichains of leading-term exponent vectors,
+    each in ascending (order, vector) order."""
 
     per_generator: tuple[tuple[tuple[int, ...], ...], ...]
     n: int
 
     @classmethod
     def build(cls, vectors_by_gen: Sequence[Iterable[Sequence[int]]], n: int) -> "Staircase":
-        gens = []
+        """Minimize each generator's vectors; a kept vector is the object
+        given, not a copy."""
+        groups = []
         for vectors in vectors_by_gen:
-            vs = sorted({tuple(v) for v in vectors})
-            for v in vs:
+            vs = set(map(tuple, vectors))
+            bad = [v for v in vs if len(v) != n or min(v, default=0) < 0]
+            if bad:
+                v = min(bad)
                 if len(v) != n:
                     raise ValueError(f"staircase vector {v} has length != {n}")
-                if any(k < 0 for k in v):
-                    raise ValueError(f"staircase vector {v} has negative entries")
-            gens.append(tuple(_minimal_antichain(vs)))
+                raise ValueError(f"staircase vector {v} has negative entries")
+            groups.append(vs)
+        packing = _Packing(n, max((sum(v) for vs in groups for v in vs), default=0))
+        gens = []
+        for vs in groups:
+            packed = {packing.pack(v): v for v in vs}
+            gens.append(tuple(packed[x] for x in _minimal_antichain(packed, packing.guards)))
         return cls(tuple(gens), n)
 
 
-def _minimal_antichain(vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    vectors = sorted(set(vectors), key=lambda v: (sum(v), v))
-    kept: list[tuple[int, ...]] = []
-    for v in vectors:
-        if not any(all(a <= b for a, b in zip(u, v)) for u in kept):
-            kept.append(v)
+class _Packing:
+    """Exponent vectors of n operators, each of order at most ``top``, packed
+    into ints of n + 1 fields of ``width`` bits: the order on top, then the
+    exponents in vector order, so packed vectors compare as (order, vector)
+    does.  The width is the bit length of ``top`` plus a guard bit, so every
+    field stays below its guard and ``((u | G) - v) & G == G``, with G the
+    guard bits, holds iff v divides u (as in :mod:`dimpoly.groebner`)."""
+
+    __slots__ = ("width", "shifts", "order_shift", "guards", "low")
+
+    def __init__(self, n: int, top: int):
+        self.width = w = top.bit_length() + 1
+        self.shifts = tuple(w * (n - 1 - k) for k in range(n))
+        self.order_shift = w * n
+        self.guards = sum(1 << (w * k + w - 1) for k in range(n + 1))
+        # below each exponent field's guard, all ones: adding it sets the
+        # guard of exactly the nonzero exponent fields
+        self.low = sum(((1 << (w - 1)) - 1) << w * k for k in range(n))
+
+    def pack(self, v: tuple[int, ...]) -> int:
+        return sum(v) << self.order_shift | sum(map(lshift, v, self.shifts))
+
+
+def _minimal_antichain(packed: Iterable[int], guards: int) -> list[int]:
+    """The packed vectors no other one divides, ascending (see :class:`_Packing`)."""
+    kept: list[int] = []
+    for x in sorted(packed):
+        xg = x | guards
+        for u in kept:
+            if (xg - u) & guards == guards:
+                break
+        else:
+            kept.append(x)
     return kept
 
 
-def staircase_from_basis(
-    basis: Iterable[Element], order: TermOrder, q: int, n: int
-) -> Staircase:
-    """Group leading-term exponent vectors by generator, minimized."""
+def staircase_from_basis(leads: Iterable[Term], q: int, n: int) -> Staircase:
+    """Group leading terms' exponent vectors by generator, minimized."""
     by_gen: list[list[tuple[int, ...]]] = [[] for _ in range(q)]
-    for g in basis:
-        t, _ = g.leading_term(order)
+    for t in leads:
         by_gen[t.gen].append(t.exps)
     return Staircase.build(by_gen, n)
 
@@ -226,9 +269,9 @@ def dimension_polynomial(stair: Staircase, *, kind: str = "difference") -> "DimP
     else:
         m = n
 
-    numerator: tuple[int, ...] = ()
+    numerator: list[int] = []
     for vectors, times in Counter(stair.per_generator).items():
-        numerator = _add(numerator, tuple(times * k for k in _hilbert_numerator(vectors)))
+        _add_into(numerator, _hilbert_numerator(vectors), times=times)
     coeffs = _trim(
         (-1) ** (n - d) * sum(k * math.comb(j, n - d) for j, k in enumerate(numerator))
         for d in range(n + 1)
@@ -252,37 +295,75 @@ def dimension_polynomial(stair: Staircase, *, kind: str = "difference") -> "DimP
     )
 
 
-def _hilbert_numerator(antichain: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+def _hilbert_numerator(antichain: Sequence[tuple[int, ...]]) -> list[int]:
     """Numerator K(t) of the Hilbert series K(t)/(1-t)^n of k[x]/I, where I
-    is spanned by the monomials x^v of ``antichain``; ascending integer
-    coefficients, () for the unit ideal.
-
-    Bigatti's pivot recursion N(I) = N(I + (p)) + t^deg(p) N(I : p), with
-    p = x_i^e for the variable x_i found in most generators of more than one
-    variable and e the median of its exponents there.  Every pure power of
-    x_i in a minimal I is above that median, so both I + (p) and I : p are
-    strictly larger than I and the recursion ends.
-    """
+    is spanned by the monomials x^v of the minimal ``antichain``; ascending
+    integer coefficients without trailing zeros, [] for the unit ideal.
+    The antichain is packed once (:class:`_Packing`) and the recursion,
+    :func:`_packed_numerator`, runs on the packed ints."""
     if not antichain:
-        return (1,)
-    if not all(any(v) for v in antichain):
-        return ()
-    n = len(antichain[0])
-    if all(sum(1 for v in antichain if v[i]) <= 1 for i in range(n)):
-        out: tuple[int, ...] = (1,)
-        for v in antichain:  # pairwise coprime: product of (1 - t^deg v)
-            out = _add(out, (0,) * sum(v) + _neg(out))
+        return [1]
+    packing = _Packing(len(antichain[0]), max(map(sum, antichain)))
+    return _packed_numerator(list(map(packing.pack, antichain)), packing)
+
+
+def _packed_numerator(antichain: list[int], packing: _Packing) -> list[int]:
+    """Bigatti's pivot recursion N(I) = N(I + (p)) + t^deg(p) N(I : p) on a
+    minimal packed antichain, with p = x_i^e for the variable x_i found in
+    most generators of more than one variable and e the median of its
+    exponents there.  Every pure power of x_i in a minimal I is above that
+    median, so both I + (p) and I : p are strictly larger than I and the
+    recursion ends.  The colon subtracts min(v_i, e) from v's field i and
+    its order field; pairwise coprime generators give the product of
+    (1 - t^deg v)."""
+    if not antichain:
+        return [1]
+    if 0 in antichain:  # the zero vector: the unit ideal
+        return []
+    order_shift, guards, low = packing.order_shift, packing.guards, packing.low
+    below = (1 << order_shift) - 1
+    support = [((v & below) + low) & guards for v in antichain]
+    seen = 0
+    for s in support:
+        if seen & s:
+            break
+        seen |= s
+    else:  # pairwise coprime
+        out = [1]
+        for v in antichain:
+            out = _add_into(list(out), out, v >> order_shift, -1)
         return out
-    mixed = [v for v in antichain if sum(1 for a in v if a) > 1]
-    i = max(range(n), key=lambda k: sum(1 for v in mixed if v[k]))
-    exps = sorted(v[i] for v in mixed if v[i])
-    e = exps[len(exps) // 2]
-    pivot = tuple(e if k == i else 0 for k in range(n))
-    plus = [v for v in antichain if v[i] < e] + [pivot]
-    colon = _minimal_antichain(
-        [v[:i] + (max(v[i] - e, 0),) + v[i + 1 :] for v in antichain]
+    counts: dict[int, int] = {}  # guard bit -> mixed generators using its field
+    for s in support:
+        if s & (s - 1):
+            while s:
+                bit = s & -s
+                counts[bit] = counts.get(bit, 0) + 1
+                s ^= bit
+    # most used, the first variable among equals (the highest field)
+    bit = max(counts, key=lambda b: (counts[b], b))
+    shift, mask = bit.bit_length() - packing.width, (1 << (packing.width - 1)) - 1
+    exps = sorted(
+        (v >> shift) & mask for v, s in zip(antichain, support) if s & bit and s & (s - 1)
     )
-    return _add(_hilbert_numerator(plus), (0,) * e + _hilbert_numerator(colon))
+    e = exps[len(exps) // 2]
+    unit = 1 << shift | 1 << order_shift
+    plus = [v for v in antichain if (v >> shift) & mask < e]
+    plus.append(e * unit)
+    colon = _minimal_antichain((v - min((v >> shift) & mask, e) * unit for v in antichain), guards)
+    return _add_into(_packed_numerator(plus, packing), _packed_numerator(colon, packing), e)
+
+
+def _add_into(acc: list[int], k: list[int], shift: int = 0, times: int = 1) -> list[int]:
+    """``acc += times * t^shift * k`` on ascending int lists, in place,
+    trimmed of trailing zeros as :func:`_trim` trims; returns ``acc``."""
+    if k:
+        acc.extend([0] * (shift + len(k) - len(acc)))
+        for j, c in enumerate(k, shift):
+            acc[j] += times * c
+        while acc and not acc[-1]:
+            acc.pop()
+    return acc
 
 
 @dataclass(frozen=True, slots=True)
@@ -476,11 +557,17 @@ def validate_polynomial(report: DimPolyReport, stair: Staircase) -> ValidationRe
     n = stair.n
     r_max = r0 + max(VALIDATION_WINDOW, n)
     counts = free_term_counts(stair, r_max)
+    # den * p(r) by Horner's rule on ints, den the coefficients' common denominator
+    coeffs = report.polynomial.coeffs
+    den = math.lcm(*(c.denominator for c in coeffs))
+    scaled = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
     first_mismatch = None
     for r in range(r0, r_max + 1):
-        expected = report.polynomial(r)
-        if expected != counts[r]:
-            first_mismatch = (r, counts[r], str(expected))
+        value = 0
+        for c in scaled:
+            value = value * r + c
+        if value != counts[r] * den:
+            first_mismatch = (r, counts[r], str(Fraction(value, den)))
             break
     return ValidationRecord(
         checked_range=(r0, r0 + VALIDATION_WINDOW),

@@ -123,11 +123,13 @@ class Element:
 
     def __hash__(self):
         # computed once: dimpoly.pipeline's report pool hashes an element
-        # alone and again inside each report part that holds it
+        # alone and again inside each report part that holds it.  Equal
+        # elements have equal term sets, so the terms alone make a valid
+        # hash, and no coefficient is hashed.
         try:
             return self._hash
         except AttributeError:
-            h = hash(frozenset(self.terms.items()))
+            h = hash(frozenset(self.terms))
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -238,7 +240,7 @@ class Presentation:
                     raise ValueError(f"term {t} has {len(t.exps)} exponents, ring has {m}")
                 if not 0 <= t.gen < q:
                     raise ValueError(f"term {t} references undeclared generator")
-                if self.kind != "inversive" and any(k < 0 for k in t.exps):
+                if self.kind != "inversive" and min(t.exps, default=0) < 0:
                     raise ValueError(
                         f"negative exponent in term {t}: only kind=inversive permits them"
                     )

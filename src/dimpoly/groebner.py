@@ -29,10 +29,13 @@ sum can carry into a guard bit.  Each entry point (:func:`normal_form`,
 of its order once, packs its inputs and passes the layout down; none is
 kept between calls.  Elements leave this module unpacked, each term once,
 as :class:`Element` with ``Fraction`` or :class:`RationalFunction`
-coefficients.  Inside, an integral ``Fraction`` is held as the ``int`` it
-equals, because int arithmetic is several times cheaper; the one helper for
-that rule, ``_small``, lives in :mod:`dimpoly.coefficients`, whose
-polynomial kernel follows it too.
+coefficients.  The leading terms of the autoreduced basis leave with its
+elements, as :attr:`GroebnerBasis.leads`: each is the head the element had
+inside completion, unpacked once, so no later stage searches an element
+for it by :meth:`TermOrder.key`.  Inside, an integral ``Fraction`` is held
+as the ``int`` it equals, because int arithmetic is several times cheaper;
+the one helper for that rule, ``_small``, lives in
+:mod:`dimpoly.coefficients`, whose polynomial kernel follows it too.
 
 Every rewrite goes through one reducer, :func:`_reduce`.  It works over
 :class:`_Tracked` entries.  Each entry holds a basis element made monic when
@@ -93,10 +96,11 @@ from __future__ import annotations
 import heapq
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import attrgetter, itemgetter, lshift
 from typing import Callable, Iterable, Sequence
 
-from .coefficients import Coeff, _small, as_coeff, inverse
+from .coefficients import Coeff, _small, inverse
 from .freemodule import Element, Term, TermOrder, _raw
 
 __all__ = [
@@ -143,11 +147,14 @@ class GroebnerBasis:
     completion ran with a trace).  ``cofactors``, when tracked, holds for
     each basis element its cofactor vector: an :class:`Element` whose
     generator i stands for the i-th input, zero inputs included, so that
-    ``combine(cofactors[k], inputs) == elements[k]``.
+    ``combine(cofactors[k], inputs) == elements[k]``.  ``leads[k]`` is the
+    leading term of ``elements[k]``: completion unpacks each head once, with
+    its element, so no later stage searches a basis element for it.
     """
 
     elements: tuple[Element, ...]
     order: TermOrder
+    leads: tuple[Term, ...]
     pairs_processed: int
     reduction_steps: int
     completed_size: int = 0
@@ -161,7 +168,9 @@ class GroebnerBasis:
         return iter(self.elements)
 
     def leading_terms(self) -> list[Term]:
-        return [g.leading_term(self.order)[0] for g in self.elements]
+        """The leading term of each element, in basis order: completion's
+        own unpacked heads, with no search."""
+        return list(self.leads)
 
 
 class _Layout:
@@ -226,8 +235,14 @@ class _Layout:
         return {self.pack(t): _small(c) for t, c in f.terms.items()}
 
     def element(self, rows: dict[int, Coeff]) -> Element:
-        """Rows, which never hold a zero, unpacked: each term once."""
-        return _raw({self.unpack(t): as_coeff(c) for t, c in rows.items()})
+        """Rows, which never hold a zero, unpacked: each term once, in the
+        order of ``rows``, and an int coefficient as its Fraction."""
+        fields, exps, size = self.fields, self.exps, FIELD_BITS // 8 * (len(self.shifts) + 2)
+        terms = {}
+        for t, c in rows.items():
+            f = fields(t.to_bytes(size, "big"))
+            terms[tuple.__new__(Term, (f[1], exps(f)))] = Fraction(c) if type(c) is int else c
+        return _raw(terms)
 
 
 class _Tracked:
@@ -397,17 +412,19 @@ def buchberger(
     total_shift = layout.gen_shift + FIELD_BITS
 
     def push_pairs(j: int):
+        """Form (i, j) for every earlier entry i on j's generator, i ascending."""
         nonlocal formed
-        gen, head = basis[j].gen, basis[j].head
-        for i in range(j):
-            if basis[i].gen == gen:
-                if formed == MAX_PAIRS_FORMED:
-                    raise CompletionBudgetExceeded(
-                        f"completion would form more than {MAX_PAIRS_FORMED} pairs"
-                    )
-                lcm = layout.lcm(basis[i].head, head)
-                heapq.heappush(heap, (lcm >> total_shift, formed, i, j, lcm))
-                formed += 1
+        head = basis[j].head
+        for h, i, _ in divisors[basis[j].gen]:
+            if i == j:
+                break
+            if formed == MAX_PAIRS_FORMED:
+                raise CompletionBudgetExceeded(
+                    f"completion would form more than {MAX_PAIRS_FORMED} pairs"
+                )
+            lcm = layout.lcm(h, head)
+            heapq.heappush(heap, (lcm >> total_shift, formed, i, j, lcm))
+            formed += 1
 
     for j in range(len(basis)):
         push_pairs(j)
@@ -437,10 +454,11 @@ def buchberger(
             push_pairs(len(basis) - 1)
 
     completed_size = len(basis)
-    elements, cofactors = _autoreduce_tracked(basis, layout)
+    elements, leads, cofactors = _autoreduce_tracked(basis, layout)
     return GroebnerBasis(
         elements=tuple(elements),
         order=order,
+        leads=tuple(leads),
         pairs_processed=pairs_processed,
         reduction_steps=reduction_steps,
         completed_size=completed_size,
@@ -468,7 +486,8 @@ def _chain_redundant(divisors: list, handled: set, i: int, j: int, lcm: int, gua
 
 
 def _autoreduce_tracked(basis: list[_Tracked], layout: _Layout):
-    """Minimal, tail-reduced and sorted form of the monic ``basis``, and its cofactors."""
+    """Minimal, tail-reduced and sorted form of the monic ``basis``: its
+    elements, their leading terms and their cofactors."""
     # Minimality: drop elements whose leading term is divisible by another's.
     # Ascending scan guarantees divisors are kept before their multiples.
     guards = layout.guards
@@ -486,14 +505,17 @@ def _autoreduce_tracked(basis: list[_Tracked], layout: _Layout):
     # and every term a step brings in lie below the head, and no multiple of
     # g's own head does, so g can stay in the divisor lists all of kept share.
     divisors = _divisors(kept)
-    reduced: list[tuple[Element, Element | None, _Tracked]] = []
+    reduced: list[tuple[Element, Term, Element | None, _Tracked]] = []
     for g in kept:
         rows, cof, _ = _reduce(dict(g.tail), g.cof, divisors, layout, full=True)
         cof = cof if cof is None else layout.element(cof)
-        reduced.append((layout.element({g.head: 1, **rows}), cof, g))
+        element = layout.element({g.head: 1, **rows})
+        lead = next(iter(element.terms))  # the head, unpacked first
+        reduced.append((element, lead, cof, g))
 
-    reduced.sort(key=lambda item: (item[2].gen, item[2].head))
-    return [item[0] for item in reduced], [item[1] for item in reduced]
+    reduced.sort(key=lambda item: (item[3].gen, item[3].head))
+    elements, leads, cofactors, _ = zip(*reduced) if reduced else ((), (), (), ())
+    return list(elements), list(leads), list(cofactors)
 
 
 def is_groebner_basis(basis: Sequence[Element], order: TermOrder) -> bool:

@@ -30,7 +30,7 @@ def sigma_operator_names(operators: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _split(exps: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(k, 0) for k in exps) + tuple(max(-k, 0) for k in exps)
+    return tuple([max(k, 0) for k in exps] + [max(-k, 0) for k in exps])
 
 
 def embed_element(f: Element, m: int) -> Element:

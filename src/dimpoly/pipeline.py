@@ -27,7 +27,7 @@ from .dimension import (
     validate_polynomial,
 )
 from .dsl import DslError, render_element
-from .freemodule import Element, Presentation, TermOrder, _raw
+from .freemodule import Element, Presentation, Term, TermOrder, _raw
 from .groebner import GroebnerBasis, buchberger
 from .inversive import embed_presentation
 from .schemes import SchemeSpec, discretize
@@ -96,11 +96,12 @@ def compute_strength(
         on_pair = lambda *pair: trace(_trace_line(working, order, *pair))
     gb = buchberger(working.relations, order, trace=on_pair)
     # a basis element equal to a working relation becomes that relation, and
-    # the staircase's vectors are the shared basis's exponent tuples
+    # the staircase is read off the shared basis's leading terms, so its
+    # vectors are that basis's exponent tuples
     if working is not p:
         working = _shared(working)
     gb = _shared(gb)
-    stair = staircase_from_basis(gb.elements, order, q=working.num_unknowns, n=working.num_operators)
+    stair = staircase_from_basis(gb.leads, q=working.num_unknowns, n=working.num_operators)
     dim = dimension_polynomial(stair, kind=source.kind)
     validation = validate_polynomial(dim, stair)
     return ReportDocument(
@@ -121,17 +122,17 @@ _pool: dict = {}
 # The fields shared one by one inside a shared value; other values are shared whole.
 _PARTS = {
     Presentation: ("operators", "relations"),
-    GroebnerBasis: ("elements", "order"),
+    GroebnerBasis: ("elements", "order", "leads"),
     DimPolyReport: ("polynomial", "binomial_coeffs"),
 }
 
 
 def _shared(x):
     """The pooled value equal to ``x``, pooling ``x`` when there is none, so
-    that many kept reports cost little more than one.  A tuple of elements,
-    each element's terms and coefficients, and the _PARTS fields are shared
-    one by one."""
-    if type(x) is tuple and x and isinstance(x[0], Element):
+    that many kept reports cost little more than one.  A tuple of elements
+    or of terms, each element's terms and coefficients, and the _PARTS
+    fields are shared one by one."""
+    if type(x) is tuple and x and isinstance(x[0], (Element, Term)):
         return tuple(map(_shared, x))
     found = _pool.get((type(x), x))
     if found is None:
@@ -230,8 +231,9 @@ def report_to_text(doc: ReportDocument) -> str:
 def report_from_json(text: str) -> tuple[str, PolyQ]:
     """The label and the exactly re-parsed polynomial of a JSON report.  A
     ValueError "not a dimpoly report: ..." names text that is not JSON, a
-    missing or mistyped field, or the column of ``polynomial.standard`` at
-    which it does not parse."""
+    missing or mistyped field, the column of ``polynomial.standard`` at
+    which it does not parse, or a ``polynomial.standard`` that parses to no
+    polynomial in t."""
     try:
         data = json.loads(text)
     except RecursionError:
@@ -250,6 +252,8 @@ def report_from_json(text: str) -> tuple[str, PolyQ]:
         return label, parse_poly(polynomial["standard"])
     except DslError as exc:  # its position is in the string, not in the file
         raise ValueError(f"not a dimpoly report: polynomial.standard, column {exc.col}: {exc.reason}") from None
+    except ValueError as exc:  # parses, but is no polynomial, such as 1/t
+        raise ValueError(f"not a dimpoly report: polynomial.standard: {exc}") from None
 
 
 def compare_reports(left: tuple[str, PolyQ], right: tuple[str, PolyQ]) -> str:

@@ -11,12 +11,20 @@ None of these is used by the CLI or the library:
 * :func:`project_element` is the inverse of the inversive embedding;
 * :func:`s_polynomial`, :func:`reduce_element` and :func:`autoreduce` expose
   single steps of completion on unpacked elements, through the same reducer
-  that :func:`dimpoly.buchberger` runs.
+  that :func:`dimpoly.buchberger` runs;
+* :func:`searched_leading_terms` finds each element's leading term by
+  :meth:`TermOrder.key`, and :func:`staircase_by_search` builds a staircase
+  from those terms: the reference for the leading terms that
+  :class:`dimpoly.GroebnerBasis` carries out of completion;
+* :func:`hilbert_numerator` and :func:`minimal_antichain` are Bigatti's
+  recursion and the minimization on exponent tuples, the reference for the
+  packed ints :mod:`dimpoly.dimension` runs them on.
 """
 
 import math
 
-from dimpoly import Element, PolyQ, Staircase, TermOrder
+from dimpoly import Element, PolyQ, Staircase, Term, TermOrder, staircase_from_basis
+from dimpoly.coefficients import _add, _neg
 from dimpoly.dimension import binomial_poly
 from dimpoly.groebner import _autoreduce_tracked, _divisors, _Layout, _reduce, _s_poly, _track, _Tracked
 
@@ -91,3 +99,52 @@ def autoreduce(basis, order: TermOrder) -> list[Element]:
     """Minimal monic form of a Groebner basis, deterministically sorted."""
     layout = _Layout(order.sequence)
     return _autoreduce_tracked(_track(basis, layout), layout)[0]
+
+
+def searched_leading_terms(basis, order: TermOrder) -> list[Term]:
+    """The leading term of each element, searched by the order's key."""
+    return [g.leading_term(order)[0] for g in basis]
+
+
+def minimal_antichain(vectors) -> list[tuple[int, ...]]:
+    """The vectors no other one divides, in ascending (order, vector) order."""
+    vectors = sorted(set(vectors), key=lambda v: (sum(v), v))
+    kept: list[tuple[int, ...]] = []
+    for v in vectors:
+        if not any(all(a <= b for a, b in zip(u, v)) for u in kept):
+            kept.append(v)
+    return kept
+
+
+def hilbert_numerator(antichain) -> tuple[int, ...]:
+    """Numerator K(t) of the Hilbert series K(t)/(1-t)^n of k[x]/I, where I
+    is spanned by the monomials x^v of the minimal ``antichain``; ascending
+    integer coefficients, () for the unit ideal.
+
+    Bigatti's pivot recursion N(I) = N(I + (p)) + t^deg(p) N(I : p), with
+    p = x_i^e for the variable x_i found in most generators of more than one
+    variable and e the median of its exponents there.
+    """
+    if not antichain:
+        return (1,)
+    if not all(any(v) for v in antichain):
+        return ()
+    n = len(antichain[0])
+    if all(sum(1 for v in antichain if v[i]) <= 1 for i in range(n)):
+        out: tuple[int, ...] = (1,)
+        for v in antichain:  # pairwise coprime: product of (1 - t^deg v)
+            out = _add(out, (0,) * sum(v) + _neg(out))
+        return out
+    mixed = [v for v in antichain if sum(1 for a in v if a) > 1]
+    i = max(range(n), key=lambda k: sum(1 for v in mixed if v[k]))
+    exps = sorted(v[i] for v in mixed if v[i])
+    e = exps[len(exps) // 2]
+    pivot = tuple(e if k == i else 0 for k in range(n))
+    plus = [v for v in antichain if v[i] < e] + [pivot]
+    colon = minimal_antichain([v[:i] + (max(v[i] - e, 0),) + v[i + 1 :] for v in antichain])
+    return _add(hilbert_numerator(plus), (0,) * e + hilbert_numerator(colon))
+
+
+def staircase_by_search(basis, order: TermOrder, q: int, n: int) -> Staircase:
+    """The staircase of ``basis`` built from searched leading terms."""
+    return staircase_from_basis(searched_leading_terms(basis, order), q, n)

@@ -5,6 +5,8 @@
 For every case below it writes the JSON and text report, ``traces.sha256``
 (the sha256 and line count of each case's ``--trace`` stderr) and the full
 traces named in ``FULL_TRACES``, into FOLDER, ``tests/golden`` by default.
+It then writes ``digests.txt``, the lines ``tests/output_digest.py`` prints:
+one digest of every output of each benchmark workload at seeds 1 and 7.
 The ``*.sys`` inputs are read from ``tests/golden`` and never written.  Run
 it after an intended change to the output, and review the diff.
 
@@ -28,7 +30,10 @@ from dimpoly import (
     rule_spec,
 )
 
+from output_digest import digest_lines
+
 GOLDEN = Path(__file__).parent / "golden"
+DIGESTS = "digests.txt"
 CASES = [
     (system, scheme)
     for system in ("diffusion", "maxwell", "potential")
@@ -101,5 +106,11 @@ def write_goldens(folder: Path) -> None:
     (folder / "traces.sha256").write_text("".join(row + "\n" for row in rows))
 
 
+def write_digests(folder: Path) -> None:
+    (folder / DIGESTS).write_text("".join(line + "\n" for line in digest_lines()))
+
+
 if __name__ == "__main__":
-    write_goldens(Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN)
+    folder = Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN
+    write_goldens(folder)
+    write_digests(folder)

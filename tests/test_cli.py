@@ -284,6 +284,15 @@ class TestCompare:
         want = "not a dimpoly report: polynomial.standard, column 5: unexpected 'end of line'"
         assert err == f"error: {bad}: {want}\n"
 
+    def test_non_polynomial_names_its_field(self, capsys, tmp_path):
+        # 1/t parses as a coefficient, but is not a polynomial in t
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"polynomial": {"standard": "1/t"}, "scheme": "s"}))
+        code, out, err = run(capsys, "compare", str(bad), str(bad))
+        assert (code, out) == (1, "")
+        want = "not a dimpoly report: polynomial.standard: not a polynomial in t: '1/t'"
+        assert err == f"error: {bad}: {want}\n"
+
     @pytest.mark.parametrize(
         "tamper, message",
         [

@@ -7,7 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dimpoly.dimension as dimension
 from dimpoly import (
@@ -27,10 +27,11 @@ from dimpoly import (
     staircase_from_basis,
     validate_polynomial,
 )
+from dimpoly.coefficients import _add, _trim
 from dimpoly.dimension import MAX_ORACLE_CELLS, binomial_poly, lagrange_interpolate
 
 from conftest import A, FORWARD_INPUTS, SIGMA_ORDER, el0
-from reference import free_term_count_oracle, to_binomial_basis
+from reference import free_term_count_oracle, hilbert_numerator, minimal_antichain, to_binomial_basis
 
 # Leading-term exponent vectors read off the published diffusion bases.
 FORWARD_STAIRCASE = Staircase.build(
@@ -46,12 +47,12 @@ class TestStaircase:
     def test_from_heat_basis(self):
         order = TermOrder((0, 1))
         gb = buchberger([el0((1, (0, 1)), (-A, (2, 0)))], order)
-        stair = staircase_from_basis(gb.elements, order, q=1, n=2)
+        stair = staircase_from_basis(gb.leading_terms(), q=1, n=2)
         assert stair.per_generator == (((2, 0),),)
 
     def test_from_forward_basis(self):
         gb = buchberger(FORWARD_INPUTS, SIGMA_ORDER)
-        stair = staircase_from_basis(gb.elements, SIGMA_ORDER, q=1, n=4)
+        stair = staircase_from_basis(gb.leading_terms(), q=1, n=4)
         assert set(stair.per_generator[0]) == set(FORWARD_STAIRCASE.per_generator[0])
 
     def test_minimization(self):
@@ -368,6 +369,76 @@ class TestHilbertNumerator:
             total = total + alone.polynomial
         assert report.polynomial == total
         assert report.validity_threshold == max(len(numerator) - 1 - stair.n, 0)
+
+
+@st.composite
+def exponent_vectors(draw, max_n=8, max_vectors=8, exponent=st.integers(1, 40)):
+    """(n, vectors) over n operators, not minimized; each exponent 0 or drawn
+    from ``exponent``, so pure powers and coprime vectors come up too."""
+    n = draw(st.integers(1, max_n))
+    entry = st.one_of(st.just(0), exponent)
+    return n, draw(st.lists(st.tuples(*[entry] * n), max_size=max_vectors))
+
+
+@st.composite
+def repeated_staircases(draw):
+    """Staircases whose generators repeat some of up to three antichains."""
+    n = draw(st.integers(1, 4))
+    vectors = st.lists(st.tuples(*[st.integers(0, 6)] * n), max_size=6)
+    antichains = [tuple(minimal_antichain(vs)) for vs in draw(st.lists(vectors, min_size=1, max_size=3))]
+    picks = draw(st.lists(st.integers(0, 2), min_size=1, max_size=6))
+    return Staircase(tuple(antichains[i % len(antichains)] for i in picks), n)
+
+
+# Orders of 2^15 and more: the packed fields must widen with the staircase's
+# largest order, as for the 37,000 and 50,000 staircases above.
+LARGE_EXPONENT = st.one_of(st.integers(1, 40), st.integers(2**15 - 2, 70_000))
+
+
+class TestPackedKernel:
+    """Minimization and Bigatti's recursion on packed ints equal the tuple
+    reference in ``tests/reference.py``, order of the kept vectors included."""
+
+    @staticmethod
+    def check(n, vectors):
+        antichain = tuple(minimal_antichain(vectors))
+        assert Staircase.build([vectors], n).per_generator == (antichain,)
+        numerator = dimension._hilbert_numerator(antichain)
+        assert type(numerator) is list and all(type(k) is int for k in numerator)
+        assert tuple(numerator) == hilbert_numerator(antichain)
+
+    @given(exponent_vectors())
+    @example((1, []))  # no vector: the zero ideal
+    @example((3, [(0, 0, 0), (1, 0, 2), (0, 0, 0)]))  # the zero vector: the unit ideal
+    @example((4, [(3, 0, 0, 0), (0, 5, 0, 0), (0, 0, 0, 7)]))  # coprime pure powers
+    @example((2, [(2, 1), (1, 2), (2, 1), (1, 2)]))  # repeated vectors
+    def test_equals_reference(self, drawn):
+        self.check(*drawn)
+
+    @settings(max_examples=15)
+    @given(exponent_vectors(max_n=3, max_vectors=4, exponent=LARGE_EXPONENT))
+    @example((1, [(37000,), (50000,)]))
+    @example((2, [(2**15, 0), (0, 2**15 - 1), (1, 1)]))
+    @example((2, [(37000, 1), (1, 50000), (40, 40)]))
+    @example((3, [(2**16, 0, 0), (0, 2**15, 3), (3, 2**15, 0), (1, 1, 1)]))
+    def test_equals_reference_beyond_int16(self, drawn):
+        self.check(*drawn)
+
+    @given(repeated_staircases())
+    @example(Staircase(((), ()), 2))  # repeated empty antichains
+    @example(Staircase((((0, 0),), ((1, 1),), ((0, 0),), ((1, 1),)), 2))  # repeated unit ideals
+    @example(Staircase((((4, 0),), ((2, 0), (0, 2))), 2))  # the top terms cancel: trim them
+    def test_repeated_antichains_sum_as_reference(self, stair):
+        n = stair.n
+        report = dimension_polynomial(stair, kind="difference")
+        numerator = ()
+        for antichain in stair.per_generator:
+            numerator = _add(numerator, hilbert_numerator(antichain))
+        assert report.binomial_coeffs == _trim(
+            (-1) ** (n - d) * sum(k * math.comb(j, n - d) for j, k in enumerate(numerator))
+            for d in range(n + 1)
+        )
+        assert report.validity_threshold == max(len(numerator) - 1 - n, 0)
 
 
 class TestIntegerRoute:

@@ -20,9 +20,12 @@ monomial is coprime to a_x*b_x; the pair still adds an element when it is
 reduced, so a criterion that skipped such pairs would move its counts.
 Their reports are the output of ``dimpoly compute tests/golden/NAME.sys
 --rule OP=RULE ... [--json]``, and their traces are pinned in
-``traces.sha256`` like the built-ins'.  After an intended change to the
-output, regenerate every file with ``PYTHONPATH=src python
-tests/regenerate_golden.py``, which computes the cases this module checks.
+``traces.sha256`` like the built-ins'.  ``digests.txt`` holds the lines
+``tests/output_digest.py`` prints, one digest of every output of each
+benchmark workload and seed; builtin-nine's is checked here, and CI checks
+all six.  After an intended change to the output, regenerate every file with
+``PYTHONPATH=src python tests/regenerate_golden.py``, which computes the
+cases this module checks.
 """
 
 import hashlib
@@ -35,8 +38,10 @@ import pytest
 
 from dimpoly import RationalFunction, report_to_json, report_to_text
 
+from output_digest import WORKLOADS, digest_lines
 from regenerate_golden import (
     CASES,
+    DIGESTS,
     GOLDEN,
     SYSTEMS,
     case_name,
@@ -118,13 +123,18 @@ def test_pair_with_coprime_heads_adds_an_element(system_documents):
 
 
 def test_regeneration_reproduces_the_goldens(tmp_path):
-    script = Path(__file__).with_name("regenerate_golden.py")
+    # every golden file but the digests, which take the whole benchmark to
+    # recompute: the test below and CI check those
+    tests = Path(__file__).resolve().parent
     env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    subprocess.run([sys.executable, str(script), str(tmp_path)], env=env, check=True, timeout=120)
+    paths = str(tests.parent / "src") + os.pathsep + str(tests)
+    env["PYTHONPATH"] = paths + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else paths
+    code = "import sys; from pathlib import Path; import regenerate_golden as r; r.write_goldens(Path(sys.argv[1]))"
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True, timeout=120)
     written = sorted(path.name for path in tmp_path.iterdir())
-    assert written == sorted(path.name for path in GOLDEN.iterdir() if path.suffix != ".sys")
+    assert written == sorted(
+        path.name for path in GOLDEN.iterdir() if path.suffix != ".sys" and path.name != DIGESTS
+    )
     for name in written:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
@@ -142,3 +152,13 @@ def test_output_digest_is_reproducible():
         printed.append(subprocess.run(argv, env=env, check=True, capture_output=True, text=True, timeout=120).stdout)
     assert printed[0] == printed[1]
     assert printed[0].startswith("builtin-nine seed=1 ") and len(printed[0].split()[-1]) == 64
+
+
+def test_builtin_nine_digest_matches_golden():
+    # digests.txt lists every workload at seeds 1 and 7 in the order
+    # output_digest.py prints them; builtin-nine's is the cheap one to check
+    lines = (GOLDEN / DIGESTS).read_text().splitlines()
+    assert [line.rsplit(" ", 1)[0] for line in lines] == [
+        f"{workload} seed={seed}" for workload in WORKLOADS for seed in (1, 7)
+    ]
+    assert list(digest_lines(["builtin-nine"], [1])) == lines[:1]

@@ -476,7 +476,7 @@ class TestLinearAlgebraOracle:
             if not inputs:
                 continue
             gb = buchberger(inputs, order)
-            stair = staircase_from_basis(gb.elements, order, q=1, n=2)
+            stair = staircase_from_basis(gb.leading_terms(), q=1, n=2)
             expected = linear_free_counts(inputs, m=2, r_top=6)
             got = [free_term_count_oracle(stair, r) for r in range(7)]
             assert got == expected, f"inputs={inputs}"

@@ -28,7 +28,8 @@ from dimpoly.inversive import embed_presentation
 from dimpoly.pipeline import compare_reports, resolve_order
 from dimpoly.schemes import discretize, rule_spec
 
-from reference import autoreduce
+from output_digest import benchmark_cases, compute_case
+from reference import autoreduce, searched_leading_terms, staircase_by_search
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +213,22 @@ class TestRepeatedCase:
         assert per_report < 2048
 
 
+class TestLeadingTerms:
+    """The leading terms completion hands out with its elements are the ones
+    a search by the order's key finds, and the pipeline's staircase, built
+    from them, is the one the searched terms give, order included."""
+
+    @pytest.mark.parametrize("workload", ["builtin-nine", "sweep-rational"])
+    def test_equal_to_the_search(self, workload):
+        for case in benchmark_cases(workload, 1):
+            doc = compute_case(case)
+            basis, working = doc.basis, doc.working
+            assert basis.leading_terms() == searched_leading_terms(basis, basis.order)
+            assert doc.staircase == staircase_by_search(
+                basis, basis.order, working.num_unknowns, working.num_operators
+            )
+
+
 class TestStagesKeepNoState:
     """Only compute_strength pools report parts; the stages return plain values."""
 
@@ -226,7 +243,7 @@ class TestStagesKeepNoState:
         working = embed_presentation(discretize(p, scheme))
         gb = buchberger(working.relations, doc.basis.order)
         reduced = autoreduce(gb.elements, gb.order)
-        stair = staircase_from_basis(reduced, gb.order, q=1, n=4)
+        stair = staircase_from_basis(searched_leading_terms(reduced, gb.order), q=1, n=4)
         dim = dimension_polynomial(stair, kind="inversive")
         assert dimpoly.pipeline._pool == pooled
         # equal to the report's parts, but copies of their own
