@@ -57,6 +57,7 @@ from .groebner import (
     normal_form,
 )
 from .inversive import (
+    doubled_order,
     embed_element,
     embed_presentation,
     saturation_relations,

@@ -183,8 +183,9 @@ def _gcd(a: _Poly, b: _Poly) -> _Poly:
     return _ONE if b else _monic(a)
 
 
-def _eval(a: _Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _eval(a: _Poly, x):
+    """a(x) by Horner's rule: an int for int coefficients and x."""
+    acc = 0
     for c in reversed(a):
         acc = acc * x + c
     return acc

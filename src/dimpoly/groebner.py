@@ -73,9 +73,11 @@ so while entries have clear guard bits no field carries into the next;
 :func:`_reduce` raises ValueError on a cofactor with a guard bit set before
 it becomes an entry or leaves the module.
 
-The final autoreduction drops every element whose leading term another
-one divides, reduces the tails of the rest and sorts the basis into a
-deterministic canonical form, each element monic.
+The final autoreduction keeps the elements whose leading term no other one
+divides, found per generator by the one minimal-antichain scan
+(:func:`_minimal_antichain`, shared with :mod:`dimpoly.dimension`), reduces
+their tails and sorts the basis into a deterministic canonical form, each
+element monic.
 
 :func:`buchberger` selects pairs by the normal strategy: a queue keyed by
 (lcm total degree, insertion index).  A popped pair (i, j) is skipped by
@@ -97,7 +99,7 @@ import heapq
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, itemgetter, lshift
+from operator import itemgetter, lshift
 from typing import Callable, Iterable, Sequence
 
 from .coefficients import Coeff, _small, inverse
@@ -121,7 +123,6 @@ MAX_PAIRS_FORMED = 100_000
 FIELD_BITS = 32
 _LIMIT = 1 << (FIELD_BITS - 1)
 _MASK = (1 << FIELD_BITS) - 1
-_FORMAT = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct code of one field
 
 
 class CompletionBudgetExceeded(ValueError):
@@ -147,9 +148,9 @@ class GroebnerBasis:
     completion ran with a trace).  ``cofactors``, when tracked, holds for
     each basis element its cofactor vector: an :class:`Element` whose
     generator i stands for the i-th input, zero inputs included, so that
-    ``combine(cofactors[k], inputs) == elements[k]``.  ``leads[k]`` is the
-    leading term of ``elements[k]``: completion unpacks each head once, with
-    its element, so no later stage searches a basis element for it.
+    ``combine(cofactors[k], inputs) == elements[k]``.  ``leads`` is the
+    leading-term accessor: completion unpacks each head once, with its
+    element, so ``leads[k]`` is the leading term of ``elements[k]`` unsearched.
     """
 
     elements: tuple[Element, ...]
@@ -166,11 +167,6 @@ class GroebnerBasis:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def leading_terms(self) -> list[Term]:
-        """The leading term of each element, in basis order: completion's
-        own unpacked heads, with no search."""
-        return list(self.leads)
 
 
 class _Layout:
@@ -191,8 +187,8 @@ class _Layout:
         self.exp_guards = self.guards & self.exp_mask
         # one 1 in each of fields 1..n: a product's field n sums fields 0..n-1
         self.ones = sum(1 << (FIELD_BITS * k) for k in range(1, n + 1))
-        # big-endian fields from the top: total, gen, then ``sequence`` order
-        self.fields = struct.Struct(f">{n + 2}{_FORMAT[FIELD_BITS]}").unpack
+        # big-endian 32-bit fields from the top: total, gen, then ``sequence`` order
+        self.fields = struct.Struct(f">{n + 2}I").unpack
         at = [2 + sequence.index(i) for i in range(n)]
         self.exps = itemgetter(*at) if n > 1 else itemgetter(slice(2, None))
 
@@ -485,37 +481,43 @@ def _chain_redundant(divisors: list, handled: set, i: int, j: int, lcm: int, gua
     return False
 
 
+def _minimal_antichain(packed: Iterable[int], guards: int) -> list[int]:
+    """The packed terms no other one divides, ascending: an ascending scan by
+    the guard-bit test keeps each divisor before its multiples.  The test also
+    compares a :class:`_Layout`'s generator field, so pass one generator's terms."""
+    kept: list[int] = []
+    for t in sorted(packed):
+        tg = t | guards
+        for u in kept:
+            if (tg - u) & guards == guards:
+                break
+        else:
+            kept.append(t)
+    return kept
+
+
 def _autoreduce_tracked(basis: list[_Tracked], layout: _Layout):
     """Minimal, tail-reduced and sorted form of the monic ``basis``: its
     elements, their leading terms and their cofactors."""
-    # Minimality: drop elements whose leading term is divisible by another's.
-    # Ascending scan guarantees divisors are kept before their multiples.
-    guards = layout.guards
-    kept: list[_Tracked] = []
-    heads: dict[int, list[int]] = {}  # generator -> kept heads on it
-    for g in sorted(basis, key=attrgetter("head")):
-        on_gen = heads.setdefault(g.gen, [])
-        t = g.head | guards
-        if not any((t - h) & guards == guards for h in on_gen):
-            on_gen.append(g.head)
-            kept.append(g)
+    # Minimality per generator, generators ascending, so kept is in the
+    # canonical (generator, head) order; of equal heads the first one stays.
+    by_gen: dict[int, dict[int, _Tracked]] = {}
+    for g in basis:
+        by_gen.setdefault(g.gen, {}).setdefault(g.head, g)
+    kept = [on[h] for _, on in sorted(by_gen.items()) for h in _minimal_antichain(on, layout.guards)]
 
     # Tail reduction: the head is irreducible modulo the others, so only the
     # tail is reduced, in full mode, and the result stays monic.  The tail
     # and every term a step brings in lie below the head, and no multiple of
     # g's own head does, so g can stay in the divisor lists all of kept share.
     divisors = _divisors(kept)
-    reduced: list[tuple[Element, Term, Element | None, _Tracked]] = []
+    elements, leads, cofactors = [], [], []
     for g in kept:
         rows, cof, _ = _reduce(dict(g.tail), g.cof, divisors, layout, full=True)
-        cof = cof if cof is None else layout.element(cof)
-        element = layout.element({g.head: 1, **rows})
-        lead = next(iter(element.terms))  # the head, unpacked first
-        reduced.append((element, lead, cof, g))
-
-    reduced.sort(key=lambda item: (item[3].gen, item[3].head))
-    elements, leads, cofactors, _ = zip(*reduced) if reduced else ((), (), (), ())
-    return list(elements), list(leads), list(cofactors)
+        elements.append(layout.element({g.head: 1, **rows}))
+        leads.append(next(iter(elements[-1].terms)))  # the head, unpacked first
+        cofactors.append(cof if cof is None else layout.element(cof))
+    return elements, leads, cofactors
 
 
 def is_groebner_basis(basis: Sequence[Element], order: TermOrder) -> bool:

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .freemodule import Element, Presentation, Term
+from .freemodule import Element, Presentation, Term, TermOrder
 
 __all__ = [
+    "doubled_order",
     "embed_element",
     "embed_presentation",
     "saturation_relations",
@@ -27,6 +28,12 @@ def sigma_operator_names(operators: tuple[str, ...]) -> tuple[str, ...]:
     """Derived 2m operator names: a<name> for the forward copies, b<name>
     for the inverses, forward block first."""
     return tuple(f"a{op}" for op in operators) + tuple(f"b{op}" for op in operators)
+
+
+def doubled_order(order: TermOrder, m: int) -> TermOrder:
+    """``order`` of m operators carried to the doubled ring: the a block in
+    its sequence, then the b block in the same sequence."""
+    return TermOrder(order.sequence + tuple(m + i for i in order.sequence))
 
 
 def _split(exps: tuple[int, ...]) -> tuple[int, ...]:

@@ -29,7 +29,7 @@ from .dimension import (
 from .dsl import DslError, render_element
 from .freemodule import Element, Presentation, Term, TermOrder, _raw
 from .groebner import GroebnerBasis, buchberger
-from .inversive import embed_presentation
+from .inversive import doubled_order, embed_presentation
 from .schemes import SchemeSpec, discretize
 
 __all__ = [
@@ -86,10 +86,7 @@ def compute_strength(
     working, order = source, resolve_order(source, order_names)
     if source.kind == "inversive":
         working = embed_presentation(source)
-        # the doubled ring compares forward-block exponents first, in the
-        # same operator sequence, then the inverse block
-        seq = order.sequence
-        order = TermOrder(seq + tuple(source.num_operators + i for i in seq))
+        order = doubled_order(order, source.num_operators)
 
     on_pair = None
     if trace is not None:

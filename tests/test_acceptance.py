@@ -21,6 +21,7 @@ from fractions import Fraction
 import pytest
 
 from dimpoly import (
+    Element,
     PolyQ,
     Term,
     builtin_system,
@@ -104,7 +105,7 @@ def test_criterion_02():
         Term(0, (1, 0, 0, 1)),
         Term(0, (0, 0, 2, 1)),
     }
-    assert set(doc.basis.leading_terms()) == want
+    assert set(doc.basis.leads) == want
     assert elapsed < 1.0
 
 
@@ -118,7 +119,7 @@ def test_criterion_03():
         Term(0, (0, 1, 0, 1)),
         Term(0, (1, 0, 0, 0)),
     }
-    assert set(sym.basis.leading_terms()) == want
+    assert set(sym.basis.leads) == want
     fwd, _ = timed_compute("diffusion", "forward")
     assert compare_strength(sym.dim.polynomial, fwd.dim.polynomial) == "stronger"
 
@@ -196,7 +197,7 @@ def test_criterion_07():
         Term(3, (2, 0, 0, 0)),
         Term(3, (0, 0, 0, 1)),
     }
-    assert set(doc.basis.leading_terms()) == want
+    assert set(doc.basis.leads) == want
     assert len(doc.basis) == 5
 
 
@@ -414,3 +415,25 @@ def test_potential_rule_assignments_are_symmetric_in_the_pairs():
         doc = compute_strength(p, scheme=rule_spec(dict(zip(p.operators, reverse)), p.operators))
         assert doc.dim.polynomial == parse_poly(want), reverse
         assert doc.validation.ok
+
+
+def test_potential_is_invariant_under_each_reflection():
+    # x_i -> -x_i followed by u_i -> -u_i maps each relation of potential to
+    # itself up to sign.  With relation (b) of test_metamorphic.py (backward
+    # on x_i is forward on the system with every odd power of x_i negated),
+    # this is why swapping forward and backward on an operator never changes
+    # potential's polynomial.  No completion runs here.
+    p = builtin_system("potential")
+    for i in range(len(p.operators)):
+        for f in p.relations:
+            g = Element({t: -c if t.exps[i] % 2 != (t.gen == i) else c for t, c in f.terms.items()})
+            assert g in (f, f.scaled(-1)), (p.operators[i], f)
+
+
+@pytest.mark.parametrize("operator", builtin_system("potential").operators)
+def test_potential_backward_on_one_operator_is_forward(operator):
+    p = builtin_system("potential")
+    rules = {op: "backward" if op == operator else "forward" for op in p.operators}
+    doc = compute_strength(p, scheme=rule_spec(rules, p.operators))
+    assert doc.dim.polynomial == parse_poly("15*t^3-7/2*t^2+43/2*t+2")
+    assert doc.validation.ok

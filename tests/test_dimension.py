@@ -47,12 +47,12 @@ class TestStaircase:
     def test_from_heat_basis(self):
         order = TermOrder((0, 1))
         gb = buchberger([el0((1, (0, 1)), (-A, (2, 0)))], order)
-        stair = staircase_from_basis(gb.leading_terms(), q=1, n=2)
+        stair = staircase_from_basis(gb.leads, q=1, n=2)
         assert stair.per_generator == (((2, 0),),)
 
     def test_from_forward_basis(self):
         gb = buchberger(FORWARD_INPUTS, SIGMA_ORDER)
-        stair = staircase_from_basis(gb.leading_terms(), q=1, n=4)
+        stair = staircase_from_basis(gb.leads, q=1, n=4)
         assert set(stair.per_generator[0]) == set(FORWARD_STAIRCASE.per_generator[0])
 
     def test_minimization(self):
@@ -189,6 +189,13 @@ class TestDimensionPolynomial:
     def test_diffusion_symmetric(self):
         report = dimension_polynomial(SYMMETRIC_STAIRCASE, kind="inversive")
         assert report.polynomial == parse_poly("4*t")
+
+    def test_unknown_kind_is_refused(self):
+        stair = Staircase.build([[(3, 1), (1, 3)]], 2)
+        with pytest.raises(ValueError, match="^unknown kind 'weird'$"):
+            dimension_polynomial(stair, kind="weird")
+        with pytest.raises(ValueError, match="^unknown kind 'weird'$"):
+            free_module_polynomial(1, 2, "weird")
 
     def test_wide_antichain(self):
         # 26 vectors: 2^26 subsets for inclusion-exclusion, no cap here
@@ -654,6 +661,7 @@ class TestPolyQ:
             assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in q.coeffs)
 
     def test_accessors_return_fractions(self):
+        # p(r) too on int and zero polynomials, where Horner's rule gives an int
         for p in (PolyQ((2, 3)), PolyQ((Fraction(1, 2), 4)), PolyQ(), binomial_poly(3)):
             assert type(p.coefficient(0)) is Fraction
             assert type(p.coefficient(7)) is Fraction

@@ -27,10 +27,12 @@ from dimpoly.builtin_systems import builtin_scheme, builtin_system
 from dimpoly.coefficients import inverse
 from dimpoly.freemodule import quotient
 from dimpoly.coefficients import RationalFunction
+from dimpoly.dimension import _Packing
 from dimpoly.groebner import (
     FIELD_BITS,
     _divisors,
     _Layout,
+    _minimal_antichain,
     _reduce,
     _track,
     _Tracked,
@@ -50,7 +52,7 @@ from conftest import (
     el,
     el0,
 )
-from reference import autoreduce, free_term_count_oracle, reduce_element, s_polynomial
+from reference import autoreduce, free_term_count_oracle, minimal_antichain, reduce_element, s_polynomial
 
 DIFF_ORDER = TermOrder((0, 1))
 
@@ -122,6 +124,13 @@ class TestBuchberger:
         # spans the same line
         assert not reduce_element(f, list(gb.elements), DIFF_ORDER)
 
+    def test_heads_on_different_generators_are_both_kept(self):
+        # x*u passes the guard-bit test against x^2*v on every field, the
+        # generator field too: the minimality scan must run per generator
+        inputs = [el((1, (1,), 0)), el((1, (2,), 1))]
+        gb = buchberger(inputs, TermOrder((0,)))
+        assert gb.elements == tuple(inputs)
+
     def test_diffusion_forward_completion(self):
         gb = buchberger(FORWARD_INPUTS, SIGMA_ORDER)
         assert len(gb) == 6
@@ -134,7 +143,7 @@ class TestBuchberger:
             Term(0, (1, 0, 0, 1)),
             Term(0, (0, 0, 2, 1)),
         }
-        assert set(gb.leading_terms()) == want
+        assert set(gb.leads) == want
         # reduced basis is monic and equals the published set up to scaling
         for g in gb.elements:
             assert g.leading_term(SIGMA_ORDER)[1] == 1
@@ -180,7 +189,7 @@ class TestBuchberger:
     def test_idempotence(self):
         gb = buchberger(FORWARD_INPUTS, SIGMA_ORDER)
         again = buchberger(gb.elements, SIGMA_ORDER)
-        assert set(again.leading_terms()) == set(gb.leading_terms())
+        assert set(again.leads) == set(gb.leads)
         assert again.elements == gb.elements
 
     def test_rank_two_coprime_heads_still_pair(self):
@@ -191,7 +200,7 @@ class TestBuchberger:
         g2 = el((1, (0, 1), 0))
         gb = buchberger([g1, g2], DIFF_ORDER)
         assert len(gb) == 3
-        assert Term(1, (0, 1)) in gb.leading_terms()
+        assert Term(1, (0, 1)) in gb.leads
         assert not is_groebner_basis([g1, g2], DIFF_ORDER)
 
     def test_cofactors_expand_exactly(self):
@@ -476,7 +485,7 @@ class TestLinearAlgebraOracle:
             if not inputs:
                 continue
             gb = buchberger(inputs, order)
-            stair = staircase_from_basis(gb.leading_terms(), q=1, n=2)
+            stair = staircase_from_basis(gb.leads, q=1, n=2)
             expected = linear_free_counts(inputs, m=2, r_top=6)
             got = [free_term_count_oracle(stair, r) for r in range(7)]
             assert got == expected, f"inputs={inputs}"
@@ -512,7 +521,7 @@ def test_rank_two_completion_properties(inputs, f):
     elements = list(gb.elements)
     assert is_groebner_basis(elements, DIFF_ORDER)
     assert all(not normal_form(g, elements, DIFF_ORDER) for g in inputs)
-    lts = gb.leading_terms()
+    lts = gb.leads
     for t in normal_form(f, elements, DIFF_ORDER).terms:
         assert not any(divides(lt, t) for lt in lts)
     assert autoreduce(elements, DIFF_ORDER) == elements
@@ -772,6 +781,30 @@ def test_packing_refuses_what_does_not_fit(terms, at, minus, over):
             layout.pack(too_wide)
     with pytest.raises(ValueError, match="generator index"):
         layout.pack(Term(limit + over, s.exps))
+
+
+@st.composite
+def _antichain_inputs(draw):
+    """(sequence, generator, vectors): up to 6 operators in a random
+    sequence, one generator and up to 10 small exponent vectors."""
+    n = draw(st.integers(1, 6))
+    vectors = draw(st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=10))
+    return tuple(draw(st.permutations(range(n)))), draw(st.integers(0, 3)), vectors
+
+
+@given(_antichain_inputs())
+def test_one_antichain_scan_serves_both_packings(drawn):
+    # completion's packing (one generator) and the staircase's keep the
+    # reference's vectors, each ascending in its own packed order
+    sequence, gen, vectors = drawn
+    want = minimal_antichain(vectors)
+    layout = _Layout(sequence)
+    packed = {layout.pack(Term(gen, v)): v for v in vectors}
+    kept = [packed[t] for t in _minimal_antichain(packed, layout.guards)]
+    assert kept == sorted(want, key=lambda v: layout.pack(Term(gen, v)))
+    packing = _Packing(len(sequence), max(map(sum, vectors), default=0))
+    packed = {packing.pack(v): v for v in vectors}
+    assert [packed[x] for x in _minimal_antichain(packed, packing.guards)] == want
 
 
 @st.composite

@@ -8,7 +8,9 @@ from dimpoly import (
     Element,
     Presentation,
     Term,
+    TermOrder,
     compute_strength,
+    doubled_order,
     embed_element,
     embed_presentation,
     saturation_relations,
@@ -110,3 +112,13 @@ class TestEmbedPresentation:
 
     def test_sigma_names(self):
         assert sigma_operator_names(("x", "y")) == ("ax", "ay", "bx", "by")
+
+    def test_doubled_order(self):
+        # the a block in the given sequence, then the b block in the same one
+        assert doubled_order(TermOrder((1, 0)), 2).sequence == (1, 0, 3, 2)
+        f = el0((1, (0, 1)), (-A, (1, 0)), (-A, (-1, 0)), (2 * A - 1, (0, 0)))
+        p = Presentation(
+            kind="inversive", operators=("x", "t"), unknowns=("u",), relations=(f,), parameter="a"
+        )
+        doc = compute_strength(p, order_names=("t", "x"))
+        assert doc.basis.order == doubled_order(TermOrder((1, 0)), 2)
